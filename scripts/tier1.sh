@@ -24,6 +24,14 @@ cmake --build build -j"$(nproc)"
 echo "== tier-1: full test suite =="
 (cd build && ctest --output-on-failure -j"$(nproc)")
 
+echo "== tier-1: repository benchmark helper tests =="
+# perfbench/ is a CMake package of its own. It adds ../src with
+# EXCLUDE_FROM_ALL, so building only perfbench_test compiles just the
+# benchmark's statistics helpers and their gtest suite.
+cmake -S perfbench -B build-perfbench -DPERFBENCH_TESTS=ON >/dev/null
+cmake --build build-perfbench -j"$(nproc)" --target perfbench_test
+(cd build-perfbench && ./perfbench_test --gtest_brief=1)
+
 echo "== tier-1: differential fuzz sweep (25 seeded workloads) =="
 (cd build && ./tests/fuzz_test --iters=25)   # leaves BENCH_fuzz.json behind
 

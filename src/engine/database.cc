@@ -4,7 +4,6 @@
 
 #include "catalog/histogram.h"
 #include "engine/statement_pipeline.h"
-#include "exec/expr_program.h"
 #include "exec/expression_eval.h"
 #include "exec/worker_pool.h"
 
@@ -25,17 +24,6 @@ using optimizer::PlanNode;
 using optimizer::PlanSummary;
 
 namespace {
-
-/// Convert a ReferenceSet to the flat vectors the monitor stores.
-void FlattenRefs(const optimizer::ReferenceSet& refs,
-                 std::vector<monitor::ObjectId>* tables,
-                 std::vector<std::pair<monitor::ObjectId, int>>* attrs,
-                 std::vector<monitor::ObjectId>* indexes) {
-  tables->assign(refs.tables.begin(), refs.tables.end());
-  attrs->assign(refs.attributes.begin(), refs.attributes.end());
-  indexes->assign(refs.available_indexes.begin(),
-                  refs.available_indexes.end());
-}
 
 int64_t DiskIoTotal(const storage::DiskStats& s) {
   return s.physical_reads + s.physical_writes;
@@ -149,7 +137,7 @@ Result<QueryResult> Database::Execute(const std::string& sql,
   return pipeline.Run(sql);
 }
 
-std::shared_ptr<const Database::CachedPlan> Database::LookupPlanCache(
+std::shared_ptr<const PreparedSelect> Database::LookupPlanCache(
     uint64_t hash) {
   PlanCacheStripe& stripe = StripeFor(hash);
   std::lock_guard<std::mutex> lock(stripe.mutex);
@@ -173,7 +161,7 @@ std::shared_ptr<const Database::CachedPlan> Database::LookupPlanCache(
 }
 
 void Database::StorePlanCache(uint64_t hash,
-                              std::shared_ptr<const CachedPlan> entry) {
+                              std::shared_ptr<const PreparedSelect> entry) {
   size_t per_stripe =
       (options_.plan_cache_capacity + kPlanCacheStripes - 1) /
       kPlanCacheStripes;
@@ -202,14 +190,12 @@ PlanCacheStats Database::plan_cache_stats() const {
 }
 
 Result<QueryResult> Database::Dispatch(sql::Statement* stmt, Session* session,
-                                       monitor::QueryTrace* trace,
-                                       const std::string& sql) {
-  (void)sql;
+                                       monitor::QueryTrace* trace) {
   switch (stmt->kind()) {
     case sql::StatementKind::kSelect:
-      return ExecSelect(static_cast<sql::SelectStmt*>(stmt), session, trace);
+      break;  // prepared and executed by StatementPipeline::Run
     case sql::StatementKind::kExplain:
-      return ExecExplain(static_cast<sql::ExplainStmt*>(stmt), session);
+      return ExecExplain(static_cast<sql::ExplainStmt*>(stmt));
     case sql::StatementKind::kInsert:
       return ExecInsert(static_cast<sql::InsertStmt*>(stmt), session, trace);
     case sql::StatementKind::kUpdate:
@@ -263,7 +249,7 @@ Status Database::LockTable(Session* session, ObjectId table_id,
   return s;
 }
 
-void Database::EndStatement(Session* session, bool /*autocommit_started*/) {
+void Database::EndStatement(Session* session) {
   if (session->txn_active_ && session->txn_implicit_) {
     ReleaseTxn(session);
   }
@@ -354,48 +340,61 @@ Result<QueryResult> Database::ExecRollback(Session* session) {
 // SELECT / EXPLAIN / what-if
 // ---------------------------------------------------------------------------
 
-Result<QueryResult> Database::ExecSelect(sql::SelectStmt* stmt,
-                                         Session* session,
-                                         monitor::QueryTrace* trace) {
+Result<std::shared_ptr<PreparedSelect>> Database::PrepareSelect(
+    sql::StatementPtr stmt, monitor::QueryTrace* trace,
+    const std::vector<IndexInfo>& virtual_indexes) {
+  auto prepared = std::make_shared<PreparedSelect>();
+  prepared->catalog_version = catalog_.version();
+  prepared->stmt = std::move(stmt);
   Binder binder(&catalog_);
-  IMON_ASSIGN_OR_RETURN(BoundSelect bound, binder.BindSelect(stmt));
-  {
-    std::vector<monitor::ObjectId> t, i;
-    std::vector<std::pair<monitor::ObjectId, int>> a;
-    FlattenRefs(bound.references, &t, &a, &i);
-    monitor_->OnBindComplete(trace, std::move(t), std::move(a), std::move(i));
-  }
+  IMON_ASSIGN_OR_RETURN(
+      prepared->bound,
+      binder.BindSelect(static_cast<sql::SelectStmt*>(prepared->stmt.get())));
+  if (trace != nullptr) NoteBound(trace, prepared->bound.references);
 
   // Optimize (timed, I/O-accounted).
   int64_t opt_start = MonotonicNanos();
   int64_t opt_io_before = DiskIoTotal(disk_->stats());
-  Planner planner(&catalog_, PlannerOptions{options_.cost_model, {}, options_.exec_workers,
-                                     options_.exec_morsel_pages});
-  IMON_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> plan,
-                        planner.PlanJoinTree(bound));
-  PlanSummary summary = planner.Summarize(*plan, bound);
-  int64_t opt_nanos = MonotonicNanos() - opt_start;
-  int64_t opt_io = DiskIoTotal(disk_->stats()) - opt_io_before;
-  monitor_->OnOptimizeComplete(trace, summary.est_cost_cpu,
-                               summary.est_cost_io, summary.used_indexes,
-                               opt_nanos, opt_io);
-
-  // Compile expressions into flat programs; a statement that uses a
-  // non-compilable construct silently falls back to the scalar
-  // tree-walking evaluator.
-  std::shared_ptr<const exec::CompiledSelect> compiled;
-  if (options_.use_compiled_exprs) {
-    auto cr = exec::CompiledSelect::Compile(bound, *plan);
-    if (cr.ok()) compiled = std::move(*cr);
+  Planner planner(&catalog_, MakePlannerOptions(virtual_indexes));
+  IMON_ASSIGN_OR_RETURN(prepared->plan, planner.PlanJoinTree(prepared->bound));
+  prepared->summary = planner.Summarize(*prepared->plan, prepared->bound);
+  if (trace != nullptr) {
+    const PlanSummary& summary = prepared->summary;
+    monitor_->OnOptimizeComplete(
+        trace, summary.est_cost_cpu, summary.est_cost_io,
+        summary.used_indexes, MonotonicNanos() - opt_start,
+        DiskIoTotal(disk_->stats()) - opt_io_before);
   }
-  return RunPlannedSelect(bound, *plan, summary, compiled.get(), session,
-                          trace);
+  return prepared;
 }
 
-Result<QueryResult> Database::RunPlannedSelect(
-    const BoundSelect& bound, const PlanNode& plan,
-    const PlanSummary& summary, const exec::CompiledSelect* compiled,
-    Session* session, monitor::QueryTrace* trace) {
+void Database::ReplayPlanSensors(const PreparedSelect& prepared,
+                                 monitor::QueryTrace* trace) {
+  NoteBound(trace, prepared.bound.references);
+  monitor_->OnOptimizeComplete(trace, prepared.summary.est_cost_cpu,
+                               prepared.summary.est_cost_io,
+                               prepared.summary.used_indexes, 0, 0);
+}
+
+void Database::NoteBound(monitor::QueryTrace* trace,
+                         const optimizer::ReferenceSet& refs) {
+  monitor_->OnBindComplete(
+      trace, {refs.tables.begin(), refs.tables.end()},
+      {refs.attributes.begin(), refs.attributes.end()},
+      {refs.available_indexes.begin(), refs.available_indexes.end()});
+}
+
+PlannerOptions Database::MakePlannerOptions(
+    std::vector<IndexInfo> virtual_indexes) const {
+  return PlannerOptions{options_.cost_model, std::move(virtual_indexes),
+                        options_.exec_workers, options_.exec_morsel_pages};
+}
+
+Result<QueryResult> Database::RunPlannedSelect(const PreparedSelect& prepared,
+                                               Session* session,
+                                               monitor::QueryTrace* trace) {
+  const BoundSelect& bound = prepared.bound;
+  const PlanSummary& summary = prepared.summary;
   // Lock referenced base tables (shared).
   for (const BoundTable& bt : bound.tables) {
     if (bt.is_virtual) continue;
@@ -408,14 +407,14 @@ Result<QueryResult> Database::RunPlannedSelect(
   ctx.storage = storage_.get();
   ctx.tables = &bound.tables;
   ctx.batch_size = options_.exec_batch_size;
-  ctx.compiled = compiled;
+  ctx.compiled = prepared.compiled.get();
   ctx.workers = workers_.get();
   ctx.morsel_pages = options_.exec_morsel_pages;
   ctx.metrics = &metrics_;
-  auto rs = exec::ExecuteSelect(bound, plan, &ctx);
+  auto rs = exec::ExecuteSelect(bound, *prepared.plan, &ctx);
   int64_t exec_nanos = MonotonicNanos() - exec_start;
   int64_t exec_io = DiskIoTotal(disk_->stats()) - io_before;
-  EndStatement(session, true);
+  EndStatement(session);
   IMON_RETURN_IF_ERROR(rs.status());
 
   double actual = ActualCost(exec_io, ctx.stats.rows_examined);
@@ -438,16 +437,10 @@ Result<QueryResult> Database::RunPlannedSelect(
   return out;
 }
 
-Result<QueryResult> Database::ExecExplain(sql::ExplainStmt* stmt,
-                                          Session* /*session*/) {
-  auto* select = static_cast<sql::SelectStmt*>(stmt->inner.get());
-  Binder binder(&catalog_);
-  IMON_ASSIGN_OR_RETURN(BoundSelect bound, binder.BindSelect(select));
-  Planner planner(&catalog_, PlannerOptions{options_.cost_model, {}, options_.exec_workers,
-                                     options_.exec_morsel_pages});
-  IMON_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> plan,
-                        planner.PlanJoinTree(bound));
-  PlanSummary summary = planner.Summarize(*plan, bound);
+Result<QueryResult> Database::ExecExplain(sql::ExplainStmt* stmt) {
+  IMON_ASSIGN_OR_RETURN(std::shared_ptr<PreparedSelect> prepared,
+                        PrepareSelect(std::move(stmt->inner)));
+  const PlanSummary& summary = prepared->summary;
   QueryResult out;
   out.columns = {"plan"};
   std::istringstream lines(summary.plan_text);
@@ -470,16 +463,11 @@ Result<WhatIfResult> Database::WhatIfPlan(
   if (stmt->kind() != sql::StatementKind::kSelect) {
     return Status::InvalidArgument("what-if planning requires a SELECT");
   }
-  auto* select = static_cast<sql::SelectStmt*>(stmt.get());
-  Binder binder(&catalog_);
-  IMON_ASSIGN_OR_RETURN(BoundSelect bound, binder.BindSelect(select));
-  PlannerOptions options{options_.cost_model, virtual_indexes,
-                         options_.exec_workers, options_.exec_morsel_pages};
-  Planner planner(&catalog_, options);
-  IMON_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> plan,
-                        planner.PlanJoinTree(bound));
+  IMON_ASSIGN_OR_RETURN(
+      std::shared_ptr<PreparedSelect> prepared,
+      PrepareSelect(std::move(stmt), nullptr, virtual_indexes));
   WhatIfResult out;
-  out.summary = planner.Summarize(*plan, bound);
+  out.summary = std::move(prepared->summary);
   for (ObjectId id : out.summary.used_indexes) {
     for (const auto& vi : virtual_indexes) {
       if (vi.id == id) out.virtual_indexes_used.push_back(id);
@@ -623,7 +611,7 @@ Result<QueryResult> Database::ExecInsert(sql::InsertStmt* stmt,
   }
   int64_t exec_nanos = MonotonicNanos() - exec_start;
   int64_t exec_io = DiskIoTotal(disk_->stats()) - io_before;
-  EndStatement(session, true);
+  EndStatement(session);
   monitor_->OnExecuteComplete(trace, exec_nanos, exec_io,
                               ActualCost(exec_io, inserted), inserted,
                               inserted);
@@ -634,6 +622,18 @@ Result<QueryResult> Database::ExecInsert(sql::InsertStmt* stmt,
   out.stats.wallclock_nanos = exec_nanos;
   out.stats.physical_reads = exec_io;
   return out;
+}
+
+Result<std::unique_ptr<PlanNode>> Database::PlanTargets(
+    const optimizer::BoundModification& bound, monitor::QueryTrace* trace) {
+  NoteBound(trace, bound.references);
+  int64_t opt_start = MonotonicNanos();
+  Planner planner(&catalog_, MakePlannerOptions());
+  IMON_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> scan,
+                        planner.PlanSingleTable(bound.table, bound.conjuncts));
+  monitor_->OnOptimizeComplete(trace, scan->est_cost_cpu, scan->est_cost_io,
+                               {}, MonotonicNanos() - opt_start, 0);
+  return scan;
 }
 
 Result<std::vector<std::pair<Locator, Row>>> Database::CollectTargets(
@@ -697,21 +697,8 @@ Result<QueryResult> Database::ExecUpdate(sql::UpdateStmt* stmt,
   Binder binder(&catalog_);
   IMON_ASSIGN_OR_RETURN(optimizer::BoundModification bound,
                         binder.BindUpdate(stmt));
-  {
-    std::vector<monitor::ObjectId> t, i;
-    std::vector<std::pair<monitor::ObjectId, int>> a;
-    FlattenRefs(bound.references, &t, &a, &i);
-    monitor_->OnBindComplete(trace, std::move(t), std::move(a), std::move(i));
-  }
-
-  int64_t opt_start = MonotonicNanos();
-  Planner planner(&catalog_, PlannerOptions{options_.cost_model, {}, options_.exec_workers,
-                                     options_.exec_morsel_pages});
   IMON_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> scan,
-                        planner.PlanSingleTable(bound.table, bound.conjuncts));
-  monitor_->OnOptimizeComplete(
-      trace, scan->est_cost_cpu, scan->est_cost_io, {},
-      MonotonicNanos() - opt_start, 0);
+                        PlanTargets(bound, trace));
 
   IMON_RETURN_IF_ERROR(
       LockTable(session, bound.table.info.id, txn::LockMode::kExclusive));
@@ -720,7 +707,7 @@ Result<QueryResult> Database::ExecUpdate(sql::UpdateStmt* stmt,
   int64_t io_before = DiskIoTotal(disk_->stats());
   auto targets = CollectTargets(*scan, bound.table);
   if (!targets.ok()) {
-    EndStatement(session, true);
+    EndStatement(session);
     return targets.status();
   }
 
@@ -772,7 +759,7 @@ Result<QueryResult> Database::ExecUpdate(sql::UpdateStmt* stmt,
   }
   int64_t exec_nanos = MonotonicNanos() - exec_start;
   int64_t exec_io = DiskIoTotal(disk_->stats()) - io_before;
-  EndStatement(session, true);
+  EndStatement(session);
   monitor_->OnExecuteComplete(
       trace, exec_nanos, exec_io,
       ActualCost(exec_io, static_cast<int64_t>(targets->size())),
@@ -792,21 +779,8 @@ Result<QueryResult> Database::ExecDelete(sql::DeleteStmt* stmt,
   Binder binder(&catalog_);
   IMON_ASSIGN_OR_RETURN(optimizer::BoundModification bound,
                         binder.BindDelete(stmt));
-  {
-    std::vector<monitor::ObjectId> t, i;
-    std::vector<std::pair<monitor::ObjectId, int>> a;
-    FlattenRefs(bound.references, &t, &a, &i);
-    monitor_->OnBindComplete(trace, std::move(t), std::move(a), std::move(i));
-  }
-
-  int64_t opt_start = MonotonicNanos();
-  Planner planner(&catalog_, PlannerOptions{options_.cost_model, {}, options_.exec_workers,
-                                     options_.exec_morsel_pages});
   IMON_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> scan,
-                        planner.PlanSingleTable(bound.table, bound.conjuncts));
-  monitor_->OnOptimizeComplete(
-      trace, scan->est_cost_cpu, scan->est_cost_io, {},
-      MonotonicNanos() - opt_start, 0);
+                        PlanTargets(bound, trace));
 
   IMON_RETURN_IF_ERROR(
       LockTable(session, bound.table.info.id, txn::LockMode::kExclusive));
@@ -815,7 +789,7 @@ Result<QueryResult> Database::ExecDelete(sql::DeleteStmt* stmt,
   int64_t io_before = DiskIoTotal(disk_->stats());
   auto targets = CollectTargets(*scan, bound.table);
   if (!targets.ok()) {
-    EndStatement(session, true);
+    EndStatement(session);
     return targets.status();
   }
 
@@ -844,7 +818,7 @@ Result<QueryResult> Database::ExecDelete(sql::DeleteStmt* stmt,
   }
   int64_t exec_nanos = MonotonicNanos() - exec_start;
   int64_t exec_io = DiskIoTotal(disk_->stats()) - io_before;
-  EndStatement(session, true);
+  EndStatement(session);
   monitor_->OnExecuteComplete(
       trace, exec_nanos, exec_io,
       ActualCost(exec_io, static_cast<int64_t>(targets->size())),
@@ -965,11 +939,11 @@ Result<QueryResult> Database::ExecCreateIndex(sql::CreateIndexStmt* stmt,
   Status backfill = storage_->CreateIndexStorage(&info, table);
   if (!backfill.ok()) {
     catalog_.DropIndex(info.name).ok();
-    EndStatement(session, true);
+    EndStatement(session);
     return backfill;
   }
   IMON_RETURN_IF_ERROR(catalog_.UpdateIndex(info));
-  EndStatement(session, true);
+  EndStatement(session);
   QueryResult out;
   out.message = "CREATE INDEX " + info.name;
   return out;
@@ -1007,14 +981,14 @@ Result<QueryResult> Database::ExecModify(sql::ModifyStmt* stmt,
   std::vector<IndexInfo> indexes = TableIndexes(table);
   Status s = storage_->ModifyStructure(&table, &indexes, target);
   if (!s.ok()) {
-    EndStatement(session, true);
+    EndStatement(session);
     return s;
   }
   IMON_RETURN_IF_ERROR(catalog_.UpdateTable(table));
   for (const IndexInfo& idx : indexes) {
     IMON_RETURN_IF_ERROR(catalog_.UpdateIndex(idx));
   }
-  EndStatement(session, true);
+  EndStatement(session);
   QueryResult out;
   out.message = std::string("MODIFY TO ") +
                 catalog::StorageStructureName(target);
@@ -1046,7 +1020,7 @@ Result<QueryResult> Database::ExecAnalyze(sql::AnalyzeStmt* stmt,
     return true;
   });
   if (!scan.ok()) {
-    EndStatement(session, true);
+    EndStatement(session);
     return scan;
   }
   int64_t now = clock_->NowMicros();
@@ -1067,7 +1041,7 @@ Result<QueryResult> Database::ExecAnalyze(sql::AnalyzeStmt* stmt,
       catalog_.UpdateIndex(idx).ok();
     }
   }
-  EndStatement(session, true);
+  EndStatement(session);
   QueryResult out;
   out.message = "ANALYZE " + table.name + " (" +
                 std::to_string(ordinals.size()) + " columns)";

@@ -78,7 +78,10 @@ struct DatabaseOptions {
   /// boundaries are independent of the worker count.
   size_t exec_morsel_pages = exec::kDefaultMorselPages;
   /// Buffer pool shards (page-id hash partitioned, each with its own
-  /// mutex/page-table/free-list). Clamped to [1, buffer_pool_pages].
+  /// mutex/page-table/free-list). Clamped to [1, buffer_pool_pages /
+  /// BufferPool::kMinShardFrames] so every shard holds the largest pin
+  /// set one storage operation needs; the default (2 x hardware threads)
+  /// therefore never decides whether a statement on a small pool succeeds.
   size_t buffer_pool_shards = DefaultBufferPoolShards();
 };
 
@@ -126,6 +129,23 @@ struct AlertEvent {
   Row row;
 };
 using AlertHandler = std::function<void(const AlertEvent&)>;
+
+/// A bound and planned SELECT: what Database::PrepareSelect returns and
+/// what the plan cache memoizes while the catalog version is unchanged.
+/// The parsed statement owns every expression the bound structures and
+/// the plan point into.
+struct PreparedSelect {
+  sql::StatementPtr stmt;
+  optimizer::BoundSelect bound;
+  std::unique_ptr<optimizer::PlanNode> plan;
+  optimizer::PlanSummary summary;
+  int64_t catalog_version = 0;
+  /// Expression programs, compiled by the statement pipeline before the
+  /// first execution and replayed by every plan-cache hit. Null for
+  /// EXPLAIN and what-if, when compilation is disabled, or when the
+  /// statement needs the scalar fallback.
+  std::shared_ptr<const exec::CompiledSelect> compiled;
+};
 
 /// Result of a what-if planning call.
 struct WhatIfResult {
@@ -243,35 +263,40 @@ class Database {
  private:
   friend class StatementPipeline;
 
-  /// A fully bound + planned SELECT, reusable while the catalog version
-  /// is unchanged. The parsed statement owns every expression the bound
-  /// structures point into.
-  struct CachedPlan {
-    int64_t catalog_version = 0;
-    sql::StatementPtr stmt;
-    optimizer::BoundSelect bound;
-    std::unique_ptr<optimizer::PlanNode> plan;
-    optimizer::PlanSummary summary;
-    /// Expression programs compiled once at plan time and replayed on
-    /// every cache hit; null when compilation is disabled or the
-    /// statement uses a non-compilable construct (scalar fallback).
-    std::shared_ptr<const exec::CompiledSelect> compiled;
-  };
-
-  std::shared_ptr<const CachedPlan> LookupPlanCache(uint64_t hash);
-  void StorePlanCache(uint64_t hash, std::shared_ptr<const CachedPlan> entry);
+  std::shared_ptr<const PreparedSelect> LookupPlanCache(uint64_t hash);
+  void StorePlanCache(uint64_t hash,
+                      std::shared_ptr<const PreparedSelect> entry);
 
   /// The session implicitly bound to the calling thread (created on
   /// first use; stable for the thread's lifetime so BEGIN/COMMIT state
   /// stays with the thread that opened it).
   Session* BorrowThreadSession();
 
-  /// Lock, execute and monitor a bound+planned SELECT (shared by the
-  /// cached and uncached paths).
-  Result<QueryResult> RunPlannedSelect(const optimizer::BoundSelect& bound,
-                                       const optimizer::PlanNode& plan,
-                                       const optimizer::PlanSummary& summary,
-                                       const exec::CompiledSelect* compiled,
+  /// The one SELECT preparation path behind execution, the plan cache,
+  /// EXPLAIN and what-if: bind, plan and summarize `stmt` (a SELECT,
+  /// owned from here on) with `virtual_indexes` injected into planning.
+  /// With a trace it fires the bind and optimize sensors, optimizer time
+  /// and I/O measured; without one it touches no monitor state. It never
+  /// compiles or executes.
+  Result<std::shared_ptr<PreparedSelect>> PrepareSelect(
+      sql::StatementPtr stmt, monitor::QueryTrace* trace = nullptr,
+      const std::vector<catalog::IndexInfo>& virtual_indexes = {});
+
+  /// Plan-cache hit: replay the bind and optimize sensors from `prepared`
+  /// with optimizer time and I/O 0 (no optimization ran).
+  void ReplayPlanSensors(const PreparedSelect& prepared,
+                         monitor::QueryTrace* trace);
+
+  /// Bind sensor: hand the binder's references to the monitor.
+  void NoteBound(monitor::QueryTrace* trace,
+                 const optimizer::ReferenceSet& refs);
+
+  /// Planner configuration derived from the engine options.
+  optimizer::PlannerOptions MakePlannerOptions(
+      std::vector<catalog::IndexInfo> virtual_indexes = {}) const;
+
+  /// Lock, execute and monitor a prepared SELECT (cache hit or miss).
+  Result<QueryResult> RunPlannedSelect(const PreparedSelect& prepared,
                                        Session* session,
                                        monitor::QueryTrace* trace);
 
@@ -284,12 +309,11 @@ class Database {
   };
 
   // -- statement dispatch ---------------------------------------------------
+  /// Every statement kind except SELECT, which StatementPipeline::Run
+  /// prepares and executes itself.
   Result<QueryResult> Dispatch(sql::Statement* stmt, Session* session,
-                               monitor::QueryTrace* trace,
-                               const std::string& sql);
-  Result<QueryResult> ExecSelect(sql::SelectStmt* stmt, Session* session,
-                                 monitor::QueryTrace* trace);
-  Result<QueryResult> ExecExplain(sql::ExplainStmt* stmt, Session* session);
+                               monitor::QueryTrace* trace);
+  Result<QueryResult> ExecExplain(sql::ExplainStmt* stmt);
   Result<QueryResult> ExecInsert(sql::InsertStmt* stmt, Session* session,
                                  monitor::QueryTrace* trace);
   Result<QueryResult> ExecUpdate(sql::UpdateStmt* stmt, Session* session,
@@ -315,12 +339,17 @@ class Database {
   Status LockTable(Session* session, catalog::ObjectId table_id,
                    txn::LockMode mode);
   /// End the statement: in autocommit, commit the implicit txn.
-  void EndStatement(Session* session, bool autocommit_started);
+  void EndStatement(Session* session);
   Status AbortTransaction(Session* session);
   void ReleaseTxn(Session* session);
 
   /// Apply the undo log in reverse (rollback / deadlock abort).
   Status ApplyUndo(Session* session);
+
+  /// Bind sensor, target-scan planning and optimize sensor for UPDATE
+  /// and DELETE.
+  Result<std::unique_ptr<optimizer::PlanNode>> PlanTargets(
+      const optimizer::BoundModification& bound, monitor::QueryTrace* trace);
 
   /// Matching (locator, row) pairs for a single-table plan (DML targets).
   Result<std::vector<std::pair<exec::Locator, Row>>> CollectTargets(
@@ -384,7 +413,8 @@ class Database {
   static constexpr size_t kPlanCacheStripes = 8;
   struct PlanCacheStripe {
     mutable std::mutex mutex;
-    std::unordered_map<uint64_t, std::shared_ptr<const CachedPlan>> entries;
+    std::unordered_map<uint64_t, std::shared_ptr<const PreparedSelect>>
+        entries;
     std::deque<uint64_t> fifo;
     int64_t hits = 0;
     int64_t misses = 0;

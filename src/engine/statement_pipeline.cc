@@ -2,28 +2,12 @@
 
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "engine/database.h"
 #include "exec/expr_program.h"
 #include "sql/parser.h"
 
 namespace imon::engine {
-
-namespace {
-
-/// Convert a ReferenceSet to the flat vectors the monitor stores.
-void FlattenRefs(const optimizer::ReferenceSet& refs,
-                 std::vector<monitor::ObjectId>* tables,
-                 std::vector<std::pair<monitor::ObjectId, int>>* attrs,
-                 std::vector<monitor::ObjectId>* indexes) {
-  tables->assign(refs.tables.begin(), refs.tables.end());
-  attrs->assign(refs.attributes.begin(), refs.attributes.end());
-  indexes->assign(refs.available_indexes.begin(),
-                  refs.available_indexes.end());
-}
-
-}  // namespace
 
 StatementPipeline::StatementPipeline(Database* db, Session* session)
     : db_(db), session_(session) {}
@@ -35,81 +19,38 @@ Result<QueryResult> StatementPipeline::Run(const std::string& sql) {
     db_->monitor_->OnQueryStart(&trace_, session_->id());
   }
 
-  // Plan-cache fast path: a previously bound + planned SELECT is reused
-  // verbatim while the catalog version is unchanged.
-  if (db_->options_.plan_cache_capacity > 0) {
-    auto entry = db_->LookupPlanCache(HashStatement(sql));
-    if (entry != nullptr) {
+  // Plan-cache fast path: a previously prepared SELECT is reused verbatim
+  // while the catalog version is unchanged.
+  const bool cache = db_->options_.plan_cache_capacity > 0;
+  const uint64_t hash = cache ? HashStatement(sql) : 0;
+  if (cache) {
+    std::shared_ptr<const PreparedSelect> hit = db_->LookupPlanCache(hash);
+    if (hit != nullptr) {
       db_->monitor_->OnParseComplete(&trace_, sql);
-      {
-        std::vector<monitor::ObjectId> t, i;
-        std::vector<std::pair<monitor::ObjectId, int>> a;
-        FlattenRefs(entry->bound.references, &t, &a, &i);
-        db_->monitor_->OnBindComplete(&trace_, std::move(t), std::move(a),
-                                      std::move(i));
-      }
-      db_->monitor_->OnOptimizeComplete(&trace_, entry->summary.est_cost_cpu,
-                                        entry->summary.est_cost_io,
-                                        entry->summary.used_indexes, 0, 0);
-      return Finish(db_->RunPlannedSelect(entry->bound, *entry->plan,
-                                          entry->summary,
-                                          entry->compiled.get(), session_,
-                                          &trace_));
+      db_->ReplayPlanSensors(*hit, &trace_);
+      return Finish(db_->RunPlannedSelect(*hit, session_, &trace_));
     }
   }
 
   auto parsed = sql::Parse(sql);
   if (!parsed.ok()) return parsed.status();
   db_->monitor_->OnParseComplete(&trace_, sql);
-
-  if (db_->options_.plan_cache_capacity > 0 &&
-      (*parsed)->kind() == sql::StatementKind::kSelect) {
-    return BindPlanAndCache(std::move(*parsed), sql);
+  if ((*parsed)->kind() != sql::StatementKind::kSelect) {
+    return Finish(db_->Dispatch(parsed->get(), session_, &trace_));
   }
 
-  return Finish(db_->Dispatch(parsed->get(), session_, &trace_, sql));
-}
-
-Result<QueryResult> StatementPipeline::BindPlanAndCache(
-    sql::StatementPtr parsed, const std::string& sql) {
-  using optimizer::Planner;
-  using optimizer::PlannerOptions;
-
-  auto entry = std::make_shared<Database::CachedPlan>();
-  entry->catalog_version = db_->catalog_.version();
-  entry->stmt = std::move(parsed);
-  optimizer::Binder binder(&db_->catalog_);
-  IMON_ASSIGN_OR_RETURN(
-      entry->bound,
-      binder.BindSelect(static_cast<sql::SelectStmt*>(entry->stmt.get())));
-  {
-    std::vector<monitor::ObjectId> t, i;
-    std::vector<std::pair<monitor::ObjectId, int>> a;
-    FlattenRefs(entry->bound.references, &t, &a, &i);
-    db_->monitor_->OnBindComplete(&trace_, std::move(t), std::move(a),
-                                  std::move(i));
-  }
-  int64_t opt_start = MonotonicNanos();
-  Planner planner(&db_->catalog_,
-                  PlannerOptions{db_->options_.cost_model, {},
-                                 db_->options_.exec_workers,
-                                 db_->options_.exec_morsel_pages});
-  IMON_ASSIGN_OR_RETURN(entry->plan, planner.PlanJoinTree(entry->bound));
-  entry->summary = planner.Summarize(*entry->plan, entry->bound);
-  db_->monitor_->OnOptimizeComplete(
-      &trace_, entry->summary.est_cost_cpu, entry->summary.est_cost_io,
-      entry->summary.used_indexes, MonotonicNanos() - opt_start, 0);
-  // Compile once here so every plan-cache hit replays the programs
-  // without re-walking the expression trees.
+  IMON_ASSIGN_OR_RETURN(std::shared_ptr<PreparedSelect> prepared,
+                        db_->PrepareSelect(std::move(*parsed), &trace_));
+  // Compile expressions into flat programs once, here, so every
+  // plan-cache hit replays them; a statement that uses a non-compilable
+  // construct falls back to the scalar tree-walking evaluator.
   if (db_->options_.use_compiled_exprs) {
-    auto cr = exec::CompiledSelect::Compile(entry->bound, *entry->plan);
-    if (cr.ok()) entry->compiled = std::move(*cr);
+    auto compiled =
+        exec::CompiledSelect::Compile(prepared->bound, *prepared->plan);
+    if (compiled.ok()) prepared->compiled = std::move(*compiled);
   }
-  std::shared_ptr<const Database::CachedPlan> shared = entry;
-  db_->StorePlanCache(HashStatement(sql), shared);
-  return Finish(db_->RunPlannedSelect(shared->bound, *shared->plan,
-                                      shared->summary, shared->compiled.get(),
-                                      session_, &trace_));
+  if (cache) db_->StorePlanCache(hash, prepared);
+  return Finish(db_->RunPlannedSelect(*prepared, session_, &trace_));
 }
 
 Result<QueryResult> StatementPipeline::Finish(Result<QueryResult> result) {

@@ -7,9 +7,18 @@
 // is local to the call — no shared trace, no locks until the final
 // Commit publishes into the monitor's shard for this session.
 //
-// Database::Execute is a thin wrapper that constructs a pipeline; the
-// plan-cache fast path and the cache-filling SELECT path are stages of
-// the pipeline, not special cases inside the engine facade.
+// A SELECT takes one path. With the plan cache on, a hit replays the
+// cached PreparedSelect's bind and optimize sensors (optimizer time and
+// I/O 0) and executes it. Otherwise Database::PrepareSelect binds, plans
+// and summarizes the statement, firing those sensors with measured
+// optimizer time and I/O; Run compiles its expression programs (the only
+// compile site), stores it when the cache is on, and executes it through
+// Database::RunPlannedSelect. EXPLAIN and what-if planning call the same
+// PrepareSelect without a trace and without compiling, so they report
+// exactly the plan an execution would run. Every other statement kind
+// goes through Database::Dispatch.
+//
+// Database::Execute is a thin wrapper that constructs a pipeline.
 
 #ifndef IMON_ENGINE_STATEMENT_PIPELINE_H_
 #define IMON_ENGINE_STATEMENT_PIPELINE_H_
@@ -18,7 +27,6 @@
 
 #include "common/status.h"
 #include "monitor/monitor.h"
-#include "sql/ast.h"
 
 namespace imon::engine {
 
@@ -40,10 +48,6 @@ class StatementPipeline {
   const monitor::QueryTrace& trace() const { return trace_; }
 
  private:
-  /// Cache-filling SELECT path: bind + plan once, remember, execute.
-  Result<QueryResult> BindPlanAndCache(sql::StatementPtr parsed,
-                                       const std::string& sql);
-
   /// Publish the trace on success (shared tail of every path).
   Result<QueryResult> Finish(Result<QueryResult> result);
 

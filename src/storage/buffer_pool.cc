@@ -1,5 +1,6 @@
 #include "storage/buffer_pool.h"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 
@@ -20,8 +21,8 @@ void PageGuard::Release() {
 BufferPool::BufferPool(DiskManager* disk, size_t capacity_pages, size_t shards)
     : disk_(disk), capacity_(capacity_pages) {
   if (capacity_ == 0) capacity_ = 1;
+  shards = std::min(shards, capacity_ / kMinShardFrames);
   if (shards == 0) shards = 1;
-  if (shards > capacity_) shards = capacity_;
   shards_.reserve(shards);
   size_t base = capacity_ / shards;
   size_t extra = capacity_ % shards;

@@ -104,9 +104,19 @@ struct BufferPoolShardInfo {
 /// writers hold exclusive table locks).
 class BufferPool {
  public:
+  /// The most pages one storage operation holds pinned at once: a B-Tree
+  /// split (BTree::InsertInto) pins the node being split and its new
+  /// right sibling together. Heap/hash chain growth (tail + fresh page)
+  /// and an index probe fetching its base row (leaf + heap page) also pin
+  /// two; every other path pins one page at a time. Both pages may hash
+  /// to the same shard, so a shard with fewer frames could fail an
+  /// operation on sharding arithmetic alone.
+  static constexpr size_t kMinShardFrames = 2;
+
   /// `shards` defaults to 1 (a classic single-instance pool). Shards are
-  /// clamped to [1, capacity_pages] so every shard owns at least one
-  /// frame.
+  /// clamped to [1, capacity_pages / kMinShardFrames] so every shard owns
+  /// at least kMinShardFrames frames (a pool smaller than that is one
+  /// shard).
   BufferPool(DiskManager* disk, size_t capacity_pages, size_t shards = 1);
   ~BufferPool();
 

@@ -19,6 +19,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/status.h"
 #include "storage/page.h"
 
@@ -39,16 +40,13 @@ struct PageId {
 
 struct PageIdHash {
   size_t operator()(const PageId& p) const {
-    // Pack into 64 bits first, then finalize (splitmix64). A plain
+    // Pack into 64 bits first, then finalize (Mix64). A plain
     // `size_t(file_id) << 32 ^ page_no` is UB on 32-bit size_t (shift >=
     // width) and typically degenerates to `file_id ^ page_no`, colliding
     // every (a, b) with (b, a); the mixer keeps even the truncated low 32
     // bits well distributed on every target.
-    uint64_t v = (static_cast<uint64_t>(p.file_id) << 32) | p.page_no;
-    v += 0x9e3779b97f4a7c15ULL;
-    v = (v ^ (v >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    v = (v ^ (v >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<size_t>(v ^ (v >> 31));
+    return static_cast<size_t>(
+        Mix64((static_cast<uint64_t>(p.file_id) << 32) | p.page_no));
   }
 };
 

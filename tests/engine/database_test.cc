@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <sstream>
 #include <thread>
+#include <tuple>
 
 namespace imon::engine {
 namespace {
@@ -501,6 +505,150 @@ TEST_F(DatabaseTest, PlanCacheMonitoredLikeNormalStatements) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// Two joined tables with a selective secondary index, so SELECTs over
+// them reference tables, attributes and indexes, use an index and plan to
+// more than one line.
+void MakeIndexedJoin(Database* db) {
+  auto exec = [&](const std::string& sql) {
+    auto r = db->Execute(sql);
+    ASSERT_TRUE(r.ok()) << sql << " -> " << r.status();
+  };
+  exec("CREATE TABLE t (a INT, b INT)");
+  exec("CREATE TABLE u (b INT, name TEXT)");
+  for (int i = 0; i < 1000; ++i) {
+    exec("INSERT INTO t VALUES (" + std::to_string(i) + ", " +
+         std::to_string(i / 2) + ")");
+  }
+  for (int i = 0; i < 50; ++i) {
+    exec("INSERT INTO u VALUES (" + std::to_string(i) + ", 'n" +
+         std::to_string(i) + "')");
+  }
+  exec("CREATE INDEX t_b ON t (b)");
+  exec("ANALYZE t");
+  exec("ANALYZE u");
+}
+
+constexpr const char* kJoinSql =
+    "SELECT t.a, u.name FROM t JOIN u ON t.b = u.b WHERE t.b = 7";
+
+/// One committed execution as the monitor saw it: its workload record
+/// and the (type, object, ordinal) references logged with it.
+struct MonitoredExecution {
+  monitor::WorkloadRecord record;
+  std::vector<std::tuple<int, monitor::ObjectId, int>> refs;
+};
+
+/// Every monitored execution of `sql`, oldest first. A commit claims one
+/// seq block (workload record, then its references), so a reference
+/// belongs to the closest workload record below it.
+std::vector<MonitoredExecution> ExecutionsOf(Database* db,
+                                             const std::string& sql) {
+  const uint64_t hash = HashStatement(sql);
+  std::vector<monitor::WorkloadRecord> all = db->monitor()->SnapshotWorkload();
+  std::sort(all.begin(), all.end(),
+            [](const auto& x, const auto& y) { return x.seq < y.seq; });
+  std::vector<monitor::ReferenceRecord> refs =
+      db->monitor()->SnapshotReferences();
+  std::vector<MonitoredExecution> out;
+  for (size_t i = 0; i < all.size(); ++i) {
+    if (all[i].hash != hash) continue;
+    MonitoredExecution e;
+    e.record = all[i];
+    int64_t next = i + 1 < all.size() ? all[i + 1].seq
+                                      : std::numeric_limits<int64_t>::max();
+    for (const auto& r : refs) {
+      if (r.seq > all[i].seq && r.seq < next) {
+        e.refs.emplace_back(static_cast<int>(r.type), r.object_id, r.ordinal);
+      }
+    }
+    std::sort(e.refs.begin(), e.refs.end());
+    out.push_back(std::move(e));
+  }
+  return out;
+}
+
+TEST_F(DatabaseTest, SelectMonitoredAlikeWithCacheOffMissAndHit) {
+  Database uncached{DatabaseOptions{}};
+  DatabaseOptions cache_on;
+  cache_on.plan_cache_capacity = 16;
+  Database cached(cache_on);
+  MakeIndexedJoin(&uncached);
+  MakeIndexedJoin(&cached);
+
+  ASSERT_TRUE(uncached.Execute(kJoinSql).ok());
+  ASSERT_TRUE(cached.Execute(kJoinSql).ok());  // miss: prepares + stores
+  ASSERT_TRUE(cached.Execute(kJoinSql).ok());  // hit: replays sensors
+  ASSERT_EQ(cached.plan_cache_stats().hits, 1);
+
+  auto off = ExecutionsOf(&uncached, kJoinSql);
+  auto on = ExecutionsOf(&cached, kJoinSql);
+  ASSERT_EQ(off.size(), 1u);
+  ASSERT_EQ(on.size(), 2u);
+  const MonitoredExecution& miss = on[0];
+  const MonitoredExecution& hit = on[1];
+
+  ASSERT_FALSE(off[0].record.used_indexes.empty());
+  ASSERT_FALSE(off[0].refs.empty());
+  for (const MonitoredExecution* e : {&miss, &hit}) {
+    EXPECT_EQ(e->refs, off[0].refs);
+    EXPECT_DOUBLE_EQ(e->record.estimated_cpu, off[0].record.estimated_cpu);
+    EXPECT_DOUBLE_EQ(e->record.estimated_io, off[0].record.estimated_io);
+    EXPECT_EQ(e->record.used_indexes, off[0].record.used_indexes);
+  }
+  // Optimizer time is measured whenever the optimizer runs; only the hit
+  // skips it and reports time and I/O as 0.
+  EXPECT_GT(off[0].record.optimizer_cpu_nanos, 0);
+  EXPECT_GT(miss.record.optimizer_cpu_nanos, 0);
+  EXPECT_EQ(hit.record.optimizer_cpu_nanos, 0);
+  EXPECT_EQ(hit.record.optimizer_disk_io, 0);
+}
+
+TEST_F(DatabaseTest, ExplainWhatIfAndExecutionShareOnePlan) {
+  MakeIndexedJoin(&db_);
+  QueryResult explain = MustExec(std::string("EXPLAIN ") + kJoinSql);
+  auto what_if = db_.WhatIfPlan(kJoinSql, {});
+  ASSERT_TRUE(what_if.ok()) << what_if.status();
+  QueryResult executed = MustExec(kJoinSql);
+
+  auto lines = [](const std::string& text) {
+    std::vector<std::string> out;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);) out.push_back(line);
+    return out;
+  };
+  std::vector<std::string> explained;
+  for (const Row& row : explain.rows) explained.push_back(row[0].AsText());
+  ASSERT_GT(explained.size(), 1u);
+  EXPECT_EQ(explained, lines(what_if->summary.plan_text));
+  EXPECT_EQ(explained, lines(executed.stats.plan_text));
+  EXPECT_DOUBLE_EQ(explain.stats.estimated_cost,
+                   what_if->summary.TotalCost());
+  EXPECT_EQ(explain.stats.used_indexes, executed.stats.used_indexes);
+}
+
+TEST_F(DatabaseTest, ExplainRecordHasNoRefsOrEstimates) {
+  for (size_t capacity : {size_t{0}, size_t{16}}) {
+    DatabaseOptions options;
+    options.plan_cache_capacity = capacity;
+    Database db(options);
+    MakeIndexedJoin(&db);
+    const std::string explain = std::string("EXPLAIN ") + kJoinSql;
+    ASSERT_TRUE(db.Execute(explain).ok());
+    ASSERT_TRUE(db.Execute(explain).ok());
+
+    auto runs = ExecutionsOf(&db, explain);
+    ASSERT_EQ(runs.size(), 2u) << "capacity " << capacity;
+    for (const MonitoredExecution& e : runs) {
+      EXPECT_TRUE(e.refs.empty()) << "capacity " << capacity;
+      EXPECT_EQ(e.record.estimated_cpu, 0);
+      EXPECT_EQ(e.record.estimated_io, 0);
+      EXPECT_TRUE(e.record.used_indexes.empty());
+      EXPECT_EQ(e.record.optimizer_cpu_nanos, 0);
+      EXPECT_GT(e.record.wallclock_nanos, 0);
+    }
+  }
 }
 
 TEST_F(DatabaseTest, ParseErrorsDoNotCrash) {

@@ -288,6 +288,42 @@ TEST(BufferPoolShardingTest, ConcurrentPinnersExhaustShardGracefully) {
   EXPECT_TRUE(pool.Fetch(shard0[0]).ok());
 }
 
+TEST(BufferPoolShardingTest, TinyPoolClampsShardsToKeepTwoPagePinsWorking) {
+  DiskManager disk;
+  BufferPool pool(&disk, 8, 64);  // far more shards requested than frames
+  FileId f = disk.CreateFile();
+  EXPECT_EQ(pool.shard_count(), 8u / BufferPool::kMinShardFrames);
+  for (const auto& info : pool.ShardInfos()) {
+    EXPECT_GE(info.capacity, BufferPool::kMinShardFrames);
+  }
+
+  // Two pages that hash to the same shard, pinned together (the B-Tree
+  // split pattern), must both succeed.
+  std::vector<PageId> pids;
+  for (int i = 0; i < 8; ++i) {
+    auto g = pool.New(f);
+    ASSERT_TRUE(g.ok());
+    pids.push_back(g->page_id());
+  }
+  PageId first{};
+  PageId second{};
+  bool found = false;
+  for (size_t i = 0; i < pids.size() && !found; ++i) {
+    for (size_t j = i + 1; j < pids.size() && !found; ++j) {
+      if (pool.ShardFor(pids[i]) == pool.ShardFor(pids[j])) {
+        first = pids[i];
+        second = pids[j];
+        found = true;
+      }
+    }
+  }
+  ASSERT_TRUE(found) << "8 pages over 4 shards share a shard";
+  auto a = pool.Fetch(first);
+  ASSERT_TRUE(a.ok()) << a.status().message();
+  auto b = pool.Fetch(second);
+  EXPECT_TRUE(b.ok()) << b.status().message();
+}
+
 TEST(DiskManagerTest, CountsPhysicalIo) {
   DiskManager disk;
   FileId f = disk.CreateFile();
