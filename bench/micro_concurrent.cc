@@ -36,6 +36,7 @@
 #include "bench/bench_util.h"
 #include "engine/database.h"
 #include "monitor/monitor.h"
+#include "sql/lexer.h"
 
 namespace imon {
 namespace {
@@ -58,17 +59,40 @@ std::vector<int> ParseIntList(const char* s) {
   return out;
 }
 
+/// A statement text and the tokens the parser would hand the monitor.
+struct Statement {
+  std::string text;
+  std::vector<sql::Token> tokens;
+};
+
+/// The 512 statement texts the committers cycle through, tokenized once
+/// up front (the engine's parser does that before the monitor sees them).
+const std::vector<Statement>& Statements() {
+  static const std::vector<Statement> statements = [] {
+    std::vector<Statement> out;
+    for (int i = 0; i < 512; ++i) {
+      Statement s;
+      s.text = "SELECT v FROM t WHERE v = " + std::to_string(i);
+      s.tokens = sql::Tokenize(s.text).TakeValue();
+      out.push_back(std::move(s));
+    }
+    return out;
+  }();
+  return statements;
+}
+
 /// One full sensor cycle per commit, text varied so the statement
 /// registry churns like a live workload.
 void CommitterLoop(monitor::Monitor* m, int64_t session_id, int64_t commits,
                    const std::atomic<bool>* go) {
+  const std::vector<Statement>& statements = Statements();
   while (!go->load(std::memory_order_acquire)) {
   }
   for (int64_t i = 0; i < commits; ++i) {
+    const Statement& s = statements[i % statements.size()];
     monitor::QueryTrace trace;
     m->OnQueryStart(&trace, session_id);
-    m->OnParseComplete(&trace,
-                       "SELECT v FROM t WHERE v = " + std::to_string(i % 512));
+    m->OnParseComplete(&trace, s.text, s.tokens);
     m->OnBindComplete(&trace, {1}, {{1, 0}}, {});
     m->OnOptimizeComplete(&trace, 1.0, 2.0, {}, 500, 0);
     m->OnExecuteComplete(&trace, 1000, 0, 3.0, 1, 1);

@@ -16,6 +16,7 @@
 #include "ima/ima.h"
 #include "monitor/monitor.h"
 #include "monitor/ring_buffer.h"
+#include "sql/lexer.h"
 #include "workload/nref.h"
 
 namespace imon {
@@ -30,10 +31,12 @@ monitor::MonitorConfig Config(bool enabled) {
 
 void BM_SensorDisabled(benchmark::State& state) {
   monitor::Monitor m(Config(false), RealClock::Instance());
+  const std::string text = "SELECT 1";
+  const std::vector<sql::Token> tokens = sql::Tokenize(text).TakeValue();
   monitor::QueryTrace trace;
   for (auto _ : state) {
     m.OnQueryStart(&trace);
-    m.OnParseComplete(&trace, "SELECT 1");
+    m.OnParseComplete(&trace, text, tokens);
     benchmark::DoNotOptimize(trace);
   }
 }
@@ -53,10 +56,11 @@ void BM_SensorOnParseComplete(benchmark::State& state) {
   monitor::Monitor m(Config(true), RealClock::Instance());
   const std::string text =
       "SELECT p.nref_id, p.sequence FROM protein p WHERE p.nref_id = 42";
+  const std::vector<sql::Token> tokens = sql::Tokenize(text).TakeValue();
   for (auto _ : state) {
     monitor::QueryTrace trace;
     trace.active = true;
-    m.OnParseComplete(&trace, text);
+    m.OnParseComplete(&trace, text, tokens);
     benchmark::DoNotOptimize(trace);
   }
 }
@@ -78,13 +82,20 @@ BENCHMARK(BM_SensorOnBindComplete);
 
 void BM_SensorCommit(benchmark::State& state) {
   monitor::Monitor m(Config(true), RealClock::Instance());
-  const std::string text = "SELECT v FROM t WHERE v = 1";
-  int64_t i = 0;
+  // Vary the hash like the 50k test so the registry churns; the texts are
+  // tokenized up front, as the parser does before the monitor sees them.
+  std::vector<std::string> texts;
+  std::vector<std::vector<sql::Token>> tokens;
+  for (int k = 0; k < 2000; ++k) {
+    texts.push_back("SELECT v FROM t WHERE v = 1" + std::to_string(k));
+    tokens.push_back(sql::Tokenize(texts.back()).TakeValue());
+  }
+  size_t i = 0;
   for (auto _ : state) {
     monitor::QueryTrace trace;
     m.OnQueryStart(&trace);
-    // Vary the hash like the 50k test so the registry churns.
-    m.OnParseComplete(&trace, text + std::to_string(i++ % 2000));
+    m.OnParseComplete(&trace, texts[i], tokens[i]);
+    i = (i + 1) % texts.size();
     m.OnBindComplete(&trace, {1}, {{1, 0}}, {});
     m.OnExecuteComplete(&trace, 1000, 0, 1.0, 1, 1);
     m.Commit(&trace);

@@ -6,7 +6,11 @@ namespace imon::sql {
 
 Result<StatementPtr> Parse(const std::string& sql) {
   IMON_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(sql));
-  internal::Parser parser(std::move(tokens));
+  return ParseTokens(tokens);
+}
+
+Result<StatementPtr> ParseTokens(const std::vector<Token>& tokens) {
+  internal::Parser parser(tokens);
   IMON_ASSIGN_OR_RETURN(StatementPtr stmt, parser.ParseStatement());
   if (!parser.AtEnd())
     return Status::InvalidArgument("unexpected trailing tokens in statement");
@@ -15,7 +19,7 @@ Result<StatementPtr> Parse(const std::string& sql) {
 
 Result<ExprPtr> ParseExpression(const std::string& text) {
   IMON_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(text));
-  internal::Parser parser(std::move(tokens));
+  internal::Parser parser(tokens);
   IMON_ASSIGN_OR_RETURN(ExprPtr expr, parser.ParseExprPublic());
   if (!parser.AtEnd())
     return Status::InvalidArgument("unexpected trailing tokens in expression");
@@ -30,8 +34,8 @@ const Token& Parser::Peek(size_t ahead) const {
   return tokens_[idx];
 }
 
-Token Parser::Advance() {
-  Token t = Peek();
+const Token& Parser::Advance() {
+  const Token& t = Peek();
   if (pos_ + 1 < tokens_.size()) ++pos_;
   return t;
 }
@@ -631,15 +635,15 @@ Result<ExprPtr> Parser::ParsePrimary() {
   const Token& t = Peek();
   switch (t.type) {
     case TokenType::kInteger: {
-      Token tok = Advance();
+      const Token& tok = Advance();
       return Expr::MakeLiteral(Value::Int(tok.int_value));
     }
     case TokenType::kFloat: {
-      Token tok = Advance();
+      const Token& tok = Advance();
       return Expr::MakeLiteral(Value::Double(tok.double_value));
     }
     case TokenType::kString: {
-      Token tok = Advance();
+      const Token& tok = Advance();
       return Expr::MakeLiteral(Value::Text(tok.str_value));
     }
     case TokenType::kKeyword: {
@@ -674,7 +678,7 @@ Result<ExprPtr> Parser::ParsePrimary() {
   }
 
   // Identifier (or non-reserved keyword acting as one).
-  Token first = Advance();
+  const Token& first = Advance();
   // Function call?
   if (Peek().IsSymbol("(")) {
     Advance();

@@ -4,6 +4,7 @@
 #define IMON_SQL_PARSER_H_
 
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "sql/ast.h"
@@ -11,8 +12,13 @@
 
 namespace imon::sql {
 
-/// Parse one statement (optionally ;-terminated).
+/// Parse one statement (optionally ;-terminated): Tokenize + ParseTokens.
 Result<StatementPtr> Parse(const std::string& sql);
+
+/// Parse one statement from tokens as Tokenize returns them (kEnd last).
+/// The caller keeps the tokens, so the same vector can also feed the
+/// normalizer (sql::NormalizeTokens) without lexing the text again.
+Result<StatementPtr> ParseTokens(const std::vector<Token>& tokens);
 
 /// Parse a standalone scalar/boolean expression (used for programmatic
 /// trigger and alert predicates).
@@ -22,7 +28,8 @@ namespace internal {
 
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  /// Reads `tokens` in place; they must outlive the parser.
+  explicit Parser(const std::vector<Token>& tokens) : tokens_(tokens) {}
 
   Result<StatementPtr> ParseStatement();
   Result<ExprPtr> ParseExprPublic() { return ParseExpr(); }
@@ -32,7 +39,7 @@ class Parser {
 
  private:
   const Token& Peek(size_t ahead = 0) const;
-  Token Advance();
+  const Token& Advance();
   bool MatchKeyword(const char* kw);
   bool MatchSymbol(const char* sym);
   Status ExpectKeyword(const char* kw);
@@ -62,7 +69,7 @@ class Parser {
   Result<ExprPtr> ParseUnary();
   Result<ExprPtr> ParsePrimary();
 
-  std::vector<Token> tokens_;
+  const std::vector<Token>& tokens_;
   size_t pos_ = 0;
 };
 

@@ -24,6 +24,7 @@
 
 #include "engine/database.h"
 #include "gtest/gtest.h"
+#include "sql/lexer.h"
 
 namespace imon::monitor {
 namespace {
@@ -41,10 +42,12 @@ MonitorConfig BigWindows(size_t shards) {
 /// One full sensor cycle: 1 table ref + 1 attribute ref + 1 used index
 /// -> a block of 4 seqs (workload record + 3 references).
 void CommitOne(Monitor* m, int64_t session_id, int64_t i) {
+  const std::string text =
+      "SELECT v FROM t WHERE v = " + std::to_string(i % 128);
+  auto tokens = sql::Tokenize(text);
   QueryTrace trace;
   m->OnQueryStart(&trace, session_id);
-  m->OnParseComplete(&trace, "SELECT v FROM t WHERE v = " +
-                                 std::to_string(i % 128));
+  m->OnParseComplete(&trace, text, *tokens);
   m->OnBindComplete(&trace, {1}, {{1, 0}}, {});
   m->OnOptimizeComplete(&trace, 1.0, 2.0, {7}, 500, 0);
   m->OnExecuteComplete(&trace, 1000, 0, 3.0, 1, 1);

@@ -4,6 +4,8 @@
 
 #include <thread>
 
+#include "sql/lexer.h"
+
 namespace imon::monitor {
 namespace {
 
@@ -19,9 +21,11 @@ MonitorConfig SmallConfig() {
 
 QueryTrace RunStatement(Monitor* m, const std::string& text,
                         double est = 1.0, double actual = 2.0) {
+  auto tokens = sql::Tokenize(text);
+  EXPECT_TRUE(tokens.ok()) << text;
   QueryTrace trace;
   m->OnQueryStart(&trace);
-  m->OnParseComplete(&trace, text);
+  m->OnParseComplete(&trace, text, *tokens);
   m->OnBindComplete(&trace, {1}, {{1, 0}}, {7});
   m->OnOptimizeComplete(&trace, est, est, {7}, 100, 0);
   m->OnExecuteComplete(&trace, 1000, 2, actual, 10, 3);

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "monitor/monitor.h"
+#include "sql/lexer.h"
 
 namespace imon::monitor {
 namespace {
@@ -30,10 +31,12 @@ MonitorConfig TraceConfig(size_t shards = 2) {
 /// One full sensor cycle; every stage runs, so a commit publishes
 /// kNumStages spans.
 void CommitOne(Monitor* m, int64_t session_id, int64_t i) {
+  const std::string text =
+      "SELECT v FROM t WHERE v = " + std::to_string(i % 16);
+  auto tokens = sql::Tokenize(text);
   QueryTrace trace;
   m->OnQueryStart(&trace, session_id);
-  m->OnParseComplete(&trace, "SELECT v FROM t WHERE v = " +
-                                 std::to_string(i % 16));
+  m->OnParseComplete(&trace, text, *tokens);
   m->OnBindComplete(&trace, {1}, {{1, 0}}, {});
   m->OnOptimizeComplete(&trace, 1.0, 2.0, {7}, 500, 0);
   m->OnExecuteComplete(&trace, 1000, 0, 3.0, 1, 1);

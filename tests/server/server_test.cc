@@ -265,6 +265,29 @@ TEST_F(ServerTest, PingEchoesAndQueriesRoundTrip) {
   EXPECT_TRUE(EventuallyTrue([&] { return server_->connections_open() == 0; }));
 }
 
+TEST_F(ServerTest, OutOfRangeFloatLiteralIsAnErrorNotACrash) {
+  StartServer();
+  Client c = MustConnect();
+  ASSERT_TRUE(c.Execute("CREATE TABLE t (v DOUBLE)").ok());
+  ASSERT_TRUE(c.Execute("INSERT INTO t VALUES (2.5)").ok());
+  // Overflow and underflow used to escape the lexer as an exception and
+  // take the whole server down.
+  for (const char* sql :
+       {"SELECT 1e999", "SELECT v FROM t WHERE v < 1e-400"}) {
+    auto bad = c.Execute(sql);
+    ASSERT_FALSE(bad.ok()) << sql;
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument)
+        << bad.status();
+    EXPECT_TRUE(c.connected());
+  }
+  // The same connection keeps answering.
+  auto r = c.Execute("SELECT v FROM t");
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_EQ(r->rows.size(), 1u);
+  EXPECT_DOUBLE_EQ(r->rows[0][0].AsDouble(), 2.5);
+  EXPECT_TRUE(c.Ping().ok());
+}
+
 TEST_F(ServerTest, VersionMismatchIsRejectedWithErrorFrame) {
   StartServer();
   RawConn raw;
