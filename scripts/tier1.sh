@@ -54,8 +54,10 @@ echo "== tier-1: observability overhead gate =="
 # Build a second tree with the metrics layer compiled out; the overhead
 # benchmark in each tree emits an elapsed_s figure, and the instrumented
 # build must stay within IMON_OVERHEAD_GATE_PCT (default 5) percent of
-# the compiled-out baseline. Timing on a loaded CI box is noisy, so the
-# gate retries up to 3 times before failing.
+# the compiled-out baseline. One ~0.25 s run swings by tens of percent
+# on a shared box, so the two binaries run alternately for several
+# rounds (alternating which goes first) and the gate compares the
+# medians of their elapsed times.
 cmake -B build-nometrics -S . -DIMON_METRICS=OFF >/dev/null
 cmake --build build-nometrics -j"$(nproc)" --target observability_overhead common_test
 # The compiled-out config must also be correct, not just fast.
@@ -65,33 +67,45 @@ json_value() {  # json_value <file> <metric-name>
   sed -n 's/.*"name": "'"$2"'".*"value": \([0-9.eE+-]*\).*/\1/p' "$1" | head -n1
 }
 
-gate_pct="${IMON_OVERHEAD_GATE_PCT:-5}"
-gate_ok=0
-best_base=""
-best_inst=""
-for attempt in 1 2 3; do
-  (cd build-nometrics && ./bench/observability_overhead >/dev/null)
-  (cd build && ./bench/observability_overhead >/dev/null)
-  base=$(json_value build-nometrics/BENCH_observability_baseline.json elapsed_s)
-  inst=$(json_value build/BENCH_observability.json elapsed_s)
-  if [[ -z "$base" || -z "$inst" ]]; then
+median() {  # median <value>...
+  printf '%s\n' "$@" | sort -g |
+    awk '{ v[NR] = $1 } END { print (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2 }'
+}
+
+overhead_elapsed() {  # overhead_elapsed <build-tree> <json-file>
+  (cd "$1" && ./bench/observability_overhead >/dev/null)
+  local v
+  v=$(json_value "$1/$2" elapsed_s)
+  if [[ -z "$v" ]]; then
     echo "tier-1: FAILED to read overhead benchmark output" >&2
     exit 1
   fi
-  # Keep the best (least-noisy) time seen per side: scheduler noise on a
-  # shared box can only delay a run, never speed it up.
-  if [[ -z "$best_base" ]]; then best_base="$base"; best_inst="$inst"; fi
-  best_base=$(awk -v a="$best_base" -v b="$base" 'BEGIN { print (b < a) ? b : a }')
-  best_inst=$(awk -v a="$best_inst" -v b="$inst" 'BEGIN { print (b < a) ? b : a }')
-  pct=$(awk -v b="$best_base" -v i="$best_inst" 'BEGIN { printf "%.2f", (i - b) / b * 100 }')
-  echo "  attempt $attempt: baseline ${best_base}s, instrumented ${best_inst}s, overhead ${pct}%"
-  if awk -v p="$pct" -v g="$gate_pct" 'BEGIN { exit !(p <= g) }'; then
-    gate_ok=1
-    break
+  echo "$v"
+}
+
+gate_pct="${IMON_OVERHEAD_GATE_PCT:-5}"
+overhead_rounds=15
+base_times=()
+inst_times=()
+for round in $(seq 1 "$overhead_rounds"); do
+  if (( round % 2 == 1 )); then
+    base=$(overhead_elapsed build-nometrics BENCH_observability_baseline.json)
+    inst=$(overhead_elapsed build BENCH_observability.json)
+  else
+    inst=$(overhead_elapsed build BENCH_observability.json)
+    base=$(overhead_elapsed build-nometrics BENCH_observability_baseline.json)
   fi
+  base_times+=("$base")
+  inst_times+=("$inst")
+  echo "  round $round: baseline ${base}s, instrumented ${inst}s"
 done
-if [[ "$gate_ok" != 1 ]]; then
-  echo "tier-1: observability overhead above ${gate_pct}% on every attempt" >&2
+med_base=$(median "${base_times[@]}")
+med_inst=$(median "${inst_times[@]}")
+pct=$(awk -v b="$med_base" -v i="$med_inst" 'BEGIN { printf "%.2f", (i - b) / b * 100 }')
+echo "  medians: baseline ${med_base}s, instrumented ${med_inst}s, overhead ${pct}%"
+if ! awk -v p="$pct" -v g="$gate_pct" 'BEGIN { exit !(p <= g) }'; then
+  echo "tier-1: observability overhead ${pct}% above ${gate_pct}%" \
+       "(medians of ${overhead_rounds} rounds)" >&2
   exit 1
 fi
 
@@ -103,8 +117,8 @@ echo "== tier-1: paper Fig. 4 monitoring overhead gate =="
 # gate holds it under an absolute ceiling of 1.30. Six runs on a 4-vCPU
 # host read 1.17-1.25 (worst 1.245); the same harness read 1.36-1.42
 # before templates were normalized from the parser's tokens, so the
-# ceiling sits between the two. Same retry-keeping-best discipline as
-# the gates above.
+# ceiling sits between the two. The gate retries up to 3 times, keeping
+# the best ratio seen.
 fig4_ceiling=1.30
 fig4_ok=0
 best_fig4=""
@@ -132,7 +146,7 @@ echo "== tier-1: executor throughput gate =="
 # The vectorized-executor benchmark emits BENCH_exec.json; both the
 # batched throughput and the speedup over the scalar path must stay
 # within IMON_EXEC_GATE_PCT (default 15) percent of the committed
-# baseline. Same retry-keeping-best discipline as the overhead gate.
+# baseline. Same retry-keeping-best discipline as the Fig. 4 gate.
 exec_gate_pct="${IMON_EXEC_GATE_PCT:-15}"
 exec_gate_ok=0
 best_rps=""

@@ -63,11 +63,6 @@ struct DatabaseOptions {
   size_t plan_cache_capacity = 0;
   /// Rows gathered per executor batch on the vectorized scan path.
   size_t exec_batch_size = 1024;
-  /// Compile SELECT expressions into flat postfix programs (batched
-  /// filters, slot-indexed aggregates). Disable to force the scalar
-  /// tree-walking path — the differential oracle in tests compares the
-  /// two.
-  bool use_compiled_exprs = true;
   /// Executor lanes for morsel-parallel scans (caller + persistent
   /// workers) over every non-virtual access path — heap pages, B-Tree
   /// and secondary-index leaves, hash buckets, ISAM chains — plus the
@@ -142,9 +137,8 @@ struct PreparedSelect {
   optimizer::PlanSummary summary;
   int64_t catalog_version = 0;
   /// Expression programs, compiled by the statement pipeline before the
-  /// first execution and replayed by every plan-cache hit. Null for
-  /// EXPLAIN and what-if, when compilation is disabled, or when the
-  /// statement needs the scalar fallback.
+  /// first execution and replayed by every plan-cache hit. Null only for
+  /// EXPLAIN and what-if, which never execute.
   std::shared_ptr<const exec::CompiledSelect> compiled;
   /// The statement's monitor template, filled by the first monitored
   /// Commit of a cached plan (from the parser's tokens on the miss that

@@ -44,13 +44,10 @@ Result<QueryResult> StatementPipeline::Run(const std::string& sql) {
   IMON_ASSIGN_OR_RETURN(std::shared_ptr<PreparedSelect> prepared,
                         db_->PrepareSelect(std::move(stmt), &trace_));
   // Compile expressions into flat programs once, here, so every
-  // plan-cache hit replays them; a statement that uses a non-compilable
-  // construct falls back to the scalar tree-walking evaluator.
-  if (db_->options_.use_compiled_exprs) {
-    auto compiled =
-        exec::CompiledSelect::Compile(prepared->bound, *prepared->plan);
-    if (compiled.ok()) prepared->compiled = std::move(*compiled);
-  }
+  // plan-cache hit replays them. The executor runs nothing else.
+  IMON_ASSIGN_OR_RETURN(
+      prepared->compiled,
+      exec::CompiledSelect::Compile(prepared->bound, *prepared->plan));
   if (cache) {
     // Commit normalizes this execution's tokens into the plan's memo,
     // which every later hit commits with.

@@ -17,26 +17,13 @@ namespace imon::exec {
 
 using optimizer::AccessPathKind;
 using optimizer::BoundSelect;
-using optimizer::OutputLayout;
 using optimizer::PlanNode;
 using optimizer::PlanNodeKind;
 using sql::Expr;
 
 namespace {
 
-/// Apply all `filters` to `row` under `layout`; counts one examined row.
-Result<bool> PassesFilters(const std::vector<const Expr*>& filters,
-                           const OutputLayout& layout, const Row& row,
-                           ExecContext* ctx) {
-  ++ctx->stats.rows_examined;
-  for (const Expr* f : filters) {
-    IMON_ASSIGN_OR_RETURN(bool ok, EvalPredicate(*f, layout, row));
-    if (!ok) return false;
-  }
-  return true;
-}
-
-/// Compiled-filter variant (same accounting).
+/// Apply the node's filter `programs` to `row`; counts one examined row.
 Result<bool> PassesFiltersCompiled(const std::vector<ExprProgram>& programs,
                                    const Row& row, EvalScratch* scratch,
                                    ExecContext* ctx) {
@@ -49,19 +36,17 @@ Result<bool> PassesFiltersCompiled(const std::vector<ExprProgram>& programs,
   return true;
 }
 
-/// Compiled filter programs for the plan node at pre-order index `idx`,
-/// or null when running uncompiled.
-const std::vector<ExprProgram>* NodePrograms(const ExecContext* ctx,
+/// Compiled filter programs for the plan node at pre-order index `idx`.
+const std::vector<ExprProgram>& NodePrograms(const ExecContext* ctx,
                                              size_t idx) {
-  if (ctx->compiled == nullptr) return nullptr;
-  if (idx >= ctx->compiled->node_filters.size()) return nullptr;
-  return &ctx->compiled->node_filters[idx];
+  return ctx->compiled->node_filters[idx];
 }
 
 /// Run the node's filter chain over a full batch, appending the
 /// survivors to `out`. Every gathered row counts as examined, matching
-/// the scalar path's accounting. Survivors are copied out (selective
-/// materialization) so the arena keeps its storage for the next gather.
+/// PassesFiltersCompiled's per-row accounting. Survivors are copied out
+/// (selective materialization) so the arena keeps its storage for the
+/// next gather.
 Status FlushBatch(const std::vector<ExprProgram>& filters, RowBatch* batch,
                   EvalScratch* scratch, std::vector<Row>* out,
                   ExecContext* ctx) {
@@ -146,14 +131,12 @@ struct LaneScratch {
   EvalScratch eval;
 };
 
-/// Scan morsel `m`, applying the node's filter chain (compiled batch
-/// path or scalar fallback, matching ExecuteScan). Survivors reach
-/// `sink` in storage order; the sink returns false to end the morsel
-/// early (not an error). Returns rows examined. Must not touch
-/// ctx->stats: workers run this concurrently.
+/// Scan morsel `m` in batches through the node's filter `programs`.
+/// Survivors reach `sink` in storage order; the sink returns false to
+/// end the morsel early (not an error). Returns rows examined. Must not
+/// touch ctx->stats: workers run this concurrently.
 Result<int64_t> ScanMorselFiltered(const MorselPlan& mp, size_t m,
-                                   const PlanNode& plan,
-                                   const std::vector<ExprProgram>* programs,
+                                   const std::vector<ExprProgram>& programs,
                                    size_t batch_capacity, ExecContext* ctx,
                                    LaneScratch* ls,
                                    const std::function<bool(const Row&)>& sink) {
@@ -161,56 +144,39 @@ Result<int64_t> ScanMorselFiltered(const MorselPlan& mp, size_t m,
   size_t end = std::min(mp.scan.units.size(), begin + mp.morsel_pages);
   int64_t examined = 0;
   Status inner = Status::OK();
-  if (programs != nullptr) {
-    RowBatch& batch = ls->batch;
+  RowBatch& batch = ls->batch;
+  batch.Reset();
+  bool stopped = false;
+  auto flush = [&]() -> Status {
+    examined += static_cast<int64_t>(batch.filled);
+    for (const ExprProgram& f : programs) {
+      if (batch.sel.empty()) break;
+      IMON_RETURN_IF_ERROR(f.FilterBatch(&batch, &ls->eval));
+    }
+    for (uint32_t idx : batch.sel) {
+      if (!sink(batch.rows[idx])) {
+        stopped = true;
+        break;
+      }
+    }
     batch.Reset();
-    bool stopped = false;
-    auto flush = [&]() -> Status {
-      examined += static_cast<int64_t>(batch.filled);
-      for (const ExprProgram& f : *programs) {
-        if (batch.sel.empty()) break;
-        IMON_RETURN_IF_ERROR(f.FilterBatch(&batch, &ls->eval));
-      }
-      for (uint32_t idx : batch.sel) {
-        if (!sink(batch.rows[idx])) {
-          stopped = true;
-          break;
+    return Status::OK();
+  };
+  IMON_RETURN_IF_ERROR(ctx->storage->ScanUnits(
+      mp.bt->info, mp.scan, begin, end, [&](const Locator&, Row& row) {
+        batch.PushSwap(&row);
+        if (batch.full(batch_capacity)) {
+          Status st = flush();
+          if (!st.ok()) {
+            inner = st;
+            return false;
+          }
+          if (stopped) return false;
         }
-      }
-      batch.Reset();
-      return Status::OK();
-    };
-    IMON_RETURN_IF_ERROR(ctx->storage->ScanUnits(
-        mp.bt->info, mp.scan, begin, end, [&](const Locator&, Row& row) {
-          batch.PushSwap(&row);
-          if (batch.full(batch_capacity)) {
-            Status st = flush();
-            if (!st.ok()) {
-              inner = st;
-              return false;
-            }
-            if (stopped) return false;
-          }
-          return true;
-        }));
-    IMON_RETURN_IF_ERROR(inner);
-    if (!stopped && batch.filled > 0) IMON_RETURN_IF_ERROR(flush());
-  } else {
-    IMON_RETURN_IF_ERROR(ctx->storage->ScanUnits(
-        mp.bt->info, mp.scan, begin, end, [&](const Locator&, Row& row) {
-          ++examined;
-          for (const Expr* f : plan.filters) {
-            auto ok = EvalPredicate(*f, plan.layout, row);
-            if (!ok.ok()) {
-              inner = ok.status();
-              return false;
-            }
-            if (!*ok) return true;
-          }
-          return sink(row);
-        }));
-    IMON_RETURN_IF_ERROR(inner);
-  }
+        return true;
+      }));
+  IMON_RETURN_IF_ERROR(inner);
+  if (!stopped && batch.filled > 0) IMON_RETURN_IF_ERROR(flush());
   return examined;
 }
 
@@ -224,24 +190,17 @@ struct TopKSpec {
 /// storage order. Sound because the final ORDER BY is a stable sort with
 /// storage order as tie-break: a row outside its own morsel's stable
 /// top-k has >= k rows globally ahead of it.
-Status PruneMorselTopK(const PlanNode& plan, ExecContext* ctx,
-                       const TopKSpec& spec, EvalScratch* scratch,
-                       std::vector<Row>* rows) {
+Status PruneMorselTopK(ExecContext* ctx, const TopKSpec& spec,
+                       EvalScratch* scratch, std::vector<Row>* rows) {
   if (rows->size() <= spec.k) return Status::OK();
-  const CompiledSelect* cp = ctx->compiled;
+  const std::vector<ExprProgram>& order_keys = ctx->compiled->order_keys;
   const auto& order_by = spec.stmt->order_by;
   std::vector<std::vector<Value>> keys(rows->size());
   for (size_t i = 0; i < rows->size(); ++i) {
     keys[i].reserve(order_by.size());
     for (size_t k = 0; k < order_by.size(); ++k) {
       Value v;
-      if (cp != nullptr) {
-        IMON_RETURN_IF_ERROR(
-            cp->order_keys[k].Run((*rows)[i], nullptr, scratch, &v));
-      } else {
-        IMON_ASSIGN_OR_RETURN(
-            v, Eval(*order_by[k].expr, plan.layout, (*rows)[i]));
-      }
+      IMON_RETURN_IF_ERROR(order_keys[k].Run((*rows)[i], nullptr, scratch, &v));
       keys[i].push_back(std::move(v));
     }
   }
@@ -267,12 +226,11 @@ Status PruneMorselTopK(const PlanNode& plan, ExecContext* ctx,
 /// `per_morsel_limit` caps survivors per morsel (bare LIMIT pushdown:
 /// only a morsel's first k survivors can reach the global first k);
 /// `topk` prunes each morsel to its ORDER BY top-k instead.
-Result<std::vector<Row>> ParallelScanRows(const PlanNode& plan,
-                                          ExecContext* ctx, size_t node_idx,
+Result<std::vector<Row>> ParallelScanRows(ExecContext* ctx, size_t node_idx,
                                           const MorselPlan& mp,
                                           size_t per_morsel_limit,
                                           const TopKSpec* topk) {
-  const std::vector<ExprProgram>* programs = NodePrograms(ctx, node_idx);
+  const std::vector<ExprProgram>& programs = NodePrograms(ctx, node_idx);
   const size_t capacity = std::max<size_t>(1, ctx->batch_size);
   WorkerPool& pool = *ctx->workers;
   std::vector<LaneScratch> lanes(pool.lane_count());
@@ -285,7 +243,7 @@ Result<std::vector<Row>> ParallelScanRows(const PlanNode& plan,
     LaneScratch& ls = lanes[lane];
     std::vector<Row>& dst = rows[m];
     auto res = ScanMorselFiltered(
-        mp, m, plan, programs, capacity, ctx, &ls, [&](const Row& r) {
+        mp, m, programs, capacity, ctx, &ls, [&](const Row& r) {
           dst.push_back(r);
           return dst.size() < per_morsel_limit;
         });
@@ -296,7 +254,7 @@ Result<std::vector<Row>> ParallelScanRows(const PlanNode& plan,
     }
     examined[m] = *res;
     if (topk != nullptr) {
-      Status st = PruneMorselTopK(plan, ctx, *topk, &ls.eval, &dst);
+      Status st = PruneMorselTopK(ctx, *topk, &ls.eval, &dst);
       if (!st.ok()) {
         errors[m] = st;
         failed.store(true, std::memory_order_relaxed);
@@ -323,14 +281,14 @@ Result<std::vector<Row>> ExecuteScan(const PlanNode& plan, ExecContext* ctx,
                                      size_t node_idx) {
   if (MorselEligible(plan, ctx)) {
     IMON_ASSIGN_OR_RETURN(MorselPlan mp, BuildMorselPlan(plan, ctx));
-    return ParallelScanRows(plan, ctx, node_idx, mp,
+    return ParallelScanRows(ctx, node_idx, mp,
                             std::numeric_limits<size_t>::max(), nullptr);
   }
   const optimizer::BoundTable& bt = (*ctx->tables)[plan.table_idx];
   std::vector<Row> out;
   Status inner = Status::OK();
 
-  const std::vector<ExprProgram>* programs = NodePrograms(ctx, node_idx);
+  const std::vector<ExprProgram>& programs = NodePrograms(ctx, node_idx);
   const size_t capacity = std::max<size_t>(1, ctx->batch_size);
   RowBatch batch;
   EvalScratch scratch;
@@ -338,10 +296,10 @@ Result<std::vector<Row>> ExecuteScan(const PlanNode& plan, ExecContext* ctx,
   // Vectorized consume: gather into the batch arena by swapping with
   // the scan's decode buffer — storage scans permit mutation, and the
   // swap hands the slot's old storage back for the next in-place decode.
-  auto consider_batch = [&](Row& row) -> bool {
+  auto consider = [&](Row& row) -> bool {
     batch.PushSwap(&row);
     if (batch.full(capacity)) {
-      Status st = FlushBatch(*programs, &batch, &scratch, &out, ctx);
+      Status st = FlushBatch(programs, &batch, &scratch, &out, ctx);
       if (!st.ok()) {
         inner = st;
         return false;
@@ -350,27 +308,10 @@ Result<std::vector<Row>> ExecuteScan(const PlanNode& plan, ExecContext* ctx,
     return true;
   };
 
-  // Scalar fallback: interpret the filter ASTs row by row.
-  auto consider_scalar = [&](const Row& row) -> bool {
-    auto pass = PassesFilters(plan.filters, plan.layout, row, ctx);
-    if (!pass.ok()) {
-      inner = pass.status();
-      return false;
-    }
-    if (*pass) out.push_back(row);
-    return true;
-  };
-
-  auto consider = [&](Row& row) -> bool {
-    if (programs != nullptr) return consider_batch(row);
-    return consider_scalar(row);
-  };
-
   auto finish = [&]() -> Status {
     IMON_RETURN_IF_ERROR(inner);
-    if (programs != nullptr && batch.filled > 0) {
-      IMON_RETURN_IF_ERROR(
-          FlushBatch(*programs, &batch, &scratch, &out, ctx));
+    if (batch.filled > 0) {
+      IMON_RETURN_IF_ERROR(FlushBatch(programs, &batch, &scratch, &out, ctx));
     }
     return Status::OK();
   };
@@ -397,14 +338,8 @@ Result<std::vector<Row>> ExecuteScan(const PlanNode& plan, ExecContext* ctx,
     }
     std::vector<Row> rows = min_seq >= 0 ? bt.provider->SnapshotSince(min_seq)
                                          : bt.provider->Snapshot();
-    if (programs != nullptr) {
-      for (Row& row : rows) {
-        if (!consider_batch(row)) break;
-      }
-    } else {
-      for (const Row& row : rows) {
-        if (!consider_scalar(row)) break;
-      }
+    for (Row& row : rows) {
+      if (!consider(row)) break;
     }
     IMON_RETURN_IF_ERROR(finish());
     return out;
@@ -643,8 +578,7 @@ Result<std::vector<Row>> ExecuteIndexNLJoin(const PlanNode& plan,
   // The inner scan is probed directly rather than executed as a node,
   // but it still occupies its pre-order slot in the compiled programs.
   size_t inner_idx = (*node_counter)++;
-  const std::vector<ExprProgram>* inner_programs =
-      NodePrograms(ctx, inner_idx);
+  const std::vector<ExprProgram>& inner_programs = NodePrograms(ctx, inner_idx);
   EvalScratch scratch;
   const optimizer::BoundTable& bt = (*ctx->tables)[inner_scan.table_idx];
 
@@ -663,11 +597,8 @@ Result<std::vector<Row>> ExecuteIndexNLJoin(const PlanNode& plan,
 
     Status inner_status = Status::OK();
     auto handle_inner = [&](const Row& inner_row) -> bool {
-      auto pass = inner_programs != nullptr
-                      ? PassesFiltersCompiled(*inner_programs, inner_row,
-                                              &scratch, ctx)
-                      : PassesFilters(inner_scan.filters, inner_scan.layout,
-                                      inner_row, ctx);
+      auto pass = PassesFiltersCompiled(inner_programs, inner_row, &scratch,
+                                        ctx);
       if (!pass.ok()) {
         inner_status = pass.status();
         return false;
@@ -838,7 +769,6 @@ struct GroupTable {
 /// and the per-morsel partial aggregation tasks.
 struct GroupAccumulator {
   const BoundSelect* bound = nullptr;
-  const PlanNode* plan = nullptr;
   const CompiledSelect* cp = nullptr;
   EvalScratch* scratch = nullptr;
   GroupTable table;
@@ -850,12 +780,7 @@ struct GroupAccumulator {
     keys.reserve(stmt.group_by.size());
     for (size_t gi = 0; gi < stmt.group_by.size(); ++gi) {
       Value v;
-      if (cp != nullptr) {
-        IMON_RETURN_IF_ERROR(
-            cp->group_keys[gi].Run(row, nullptr, scratch, &v));
-      } else {
-        IMON_ASSIGN_OR_RETURN(v, Eval(*stmt.group_by[gi], plan->layout, row));
-      }
+      IMON_RETURN_IF_ERROR(cp->group_keys[gi].Run(row, nullptr, scratch, &v));
       keys.push_back(std::move(v));
     }
     bool created = false;
@@ -868,11 +793,7 @@ struct GroupAccumulator {
         group->states[a].seen = true;
       } else {
         Value v;
-        if (cp != nullptr) {
-          IMON_RETURN_IF_ERROR(cp->agg_args[a]->Run(row, nullptr, scratch, &v));
-        } else {
-          IMON_ASSIGN_OR_RETURN(v, Eval(*agg.arg, plan->layout, row));
-        }
+        IMON_RETURN_IF_ERROR(cp->agg_args[a]->Run(row, nullptr, scratch, &v));
         group->states[a].Add(v);
       }
     }
@@ -897,10 +818,9 @@ void MergeGroupTables(GroupTable* into, GroupTable&& from, size_t n_aggs) {
 /// Root-scan aggregate pushdown: each morsel accumulates a partial
 /// GroupTable; gather merges them in morsel order.
 Result<GroupTable> ParallelAggregateScan(const BoundSelect& bound,
-                                         const PlanNode& plan,
                                          ExecContext* ctx,
                                          const MorselPlan& mp) {
-  const std::vector<ExprProgram>* programs = NodePrograms(ctx, 0);
+  const std::vector<ExprProgram>& programs = NodePrograms(ctx, 0);
   const size_t capacity = std::max<size_t>(1, ctx->batch_size);
   WorkerPool& pool = *ctx->workers;
   std::vector<LaneScratch> lanes(pool.lane_count());
@@ -913,12 +833,11 @@ Result<GroupTable> ParallelAggregateScan(const BoundSelect& bound,
     LaneScratch& ls = lanes[lane];
     GroupAccumulator acc;
     acc.bound = &bound;
-    acc.plan = &plan;
     acc.cp = ctx->compiled;
     acc.scratch = &ls.eval;
     Status sink_status = Status::OK();
     auto res = ScanMorselFiltered(
-        mp, m, plan, programs, capacity, ctx, &ls, [&](const Row& r) {
+        mp, m, programs, capacity, ctx, &ls, [&](const Row& r) {
           sink_status = acc.AddRow(r);
           return sink_status.ok();
         });
@@ -975,13 +894,12 @@ Result<ResultSet> ExecuteSelect(const BoundSelect& bound,
     if (root_morsels) {
       IMON_ASSIGN_OR_RETURN(MorselPlan mp, BuildMorselPlan(plan, ctx));
       IMON_ASSIGN_OR_RETURN(GroupTable merged,
-                            ParallelAggregateScan(bound, plan, ctx, mp));
+                            ParallelAggregateScan(bound, ctx, mp));
       groups = std::move(merged.groups);
     } else {
       IMON_ASSIGN_OR_RETURN(rows, ExecuteTree(plan, ctx));
       GroupAccumulator acc;
       acc.bound = &bound;
-      acc.plan = &plan;
       acc.cp = cp;
       acc.scratch = &scratch;
       for (const Row& row : rows) IMON_RETURN_IF_ERROR(acc.AddRow(row));
@@ -1007,13 +925,8 @@ Result<ResultSet> ExecuteSelect(const BoundSelect& bound,
       std::vector<Logical> kept;
       for (Logical& l : logical) {
         bool ok = false;
-        if (cp != nullptr) {
-          IMON_RETURN_IF_ERROR(
-              cp->having->RunPredicate(*l.row, &l.aggs, &scratch, &ok));
-        } else {
-          IMON_ASSIGN_OR_RETURN(
-              ok, EvalPredicate(*stmt.having, plan.layout, *l.row, &l.aggs));
-        }
+        IMON_RETURN_IF_ERROR(
+            cp->having->RunPredicate(*l.row, &l.aggs, &scratch, &ok));
         if (ok) kept.push_back(std::move(l));
       }
       logical = std::move(kept);
@@ -1027,11 +940,11 @@ Result<ResultSet> ExecuteSelect(const BoundSelect& bound,
       size_t k = static_cast<size_t>(std::max<int64_t>(1, *stmt.limit));
       if (stmt.order_by.empty()) {
         IMON_ASSIGN_OR_RETURN(rows,
-                              ParallelScanRows(plan, ctx, 0, mp, k, nullptr));
+                              ParallelScanRows(ctx, 0, mp, k, nullptr));
       } else {
         TopKSpec spec{&stmt, k};
         IMON_ASSIGN_OR_RETURN(
-            rows, ParallelScanRows(plan, ctx, 0, mp,
+            rows, ParallelScanRows(ctx, 0, mp,
                                    std::numeric_limits<size_t>::max(), &spec));
       }
     } else {
@@ -1049,14 +962,8 @@ Result<ResultSet> ExecuteSelect(const BoundSelect& bound,
       keyed[i].second = i;
       for (size_t k = 0; k < stmt.order_by.size(); ++k) {
         Value v;
-        if (cp != nullptr) {
-          IMON_RETURN_IF_ERROR(cp->order_keys[k].Run(
-              *logical[i].row, &logical[i].aggs, &scratch, &v));
-        } else {
-          IMON_ASSIGN_OR_RETURN(
-              v, Eval(*stmt.order_by[k].expr, plan.layout, *logical[i].row,
-                      &logical[i].aggs));
-        }
+        IMON_RETURN_IF_ERROR(cp->order_keys[k].Run(
+            *logical[i].row, &logical[i].aggs, &scratch, &v));
         keyed[i].first.push_back(std::move(v));
       }
     }
@@ -1084,12 +991,7 @@ Result<ResultSet> ExecuteSelect(const BoundSelect& bound,
     out_row.reserve(bound.items.size());
     for (size_t i = 0; i < bound.items.size(); ++i) {
       Value v;
-      if (cp != nullptr) {
-        IMON_RETURN_IF_ERROR(cp->items[i].Run(*l.row, &l.aggs, &scratch, &v));
-      } else {
-        IMON_ASSIGN_OR_RETURN(
-            v, Eval(*bound.items[i].expr, plan.layout, *l.row, &l.aggs));
-      }
+      IMON_RETURN_IF_ERROR(cp->items[i].Run(*l.row, &l.aggs, &scratch, &v));
       out_row.push_back(std::move(v));
     }
     if (stmt.distinct) {

@@ -44,8 +44,10 @@ struct ExecContext {
   /// Rows per RowBatch on the vectorized path (tests force 1 to drive
   /// the batch-size differential).
   size_t batch_size = kDefaultBatchSize;
-  /// Compiled programs for the statement, or null to interpret the AST
-  /// per row (the scalar fallback; also the benchmark baseline).
+  /// Compiled programs for the statement (CompiledSelect::Compile of the
+  /// same bound statement and plan). Required: every scan filter, select
+  /// item, GROUP BY key, aggregate argument, HAVING and ORDER BY key runs
+  /// as one of these programs.
   const CompiledSelect* compiled = nullptr;
   /// Worker pool for morsel-parallel scans (all non-virtual access paths
   /// except hash point probes), or null for the serial path. A 1-lane

@@ -8,10 +8,11 @@
 // patterns interned in program-owned pools. Evaluation is a tight loop
 // over the op array with no per-node Result<Value> allocation on the
 // non-error path, and short-circuit ops (AND/OR probes, IN steps,
-// NULL-propagation jumps) preserve the scalar evaluator's semantics
+// NULL-propagation jumps) preserve the tree-walking Eval's semantics
 // exactly — including which subexpressions are *not* evaluated, so an
-// error that the scalar path would never reach is never raised here
-// either. Programs are immutable after Compile and safe to share across
+// error that Eval would never reach is never raised here either
+// (tests/exec/expr_program_test.cc checks this expression by
+// expression). Programs are immutable after Compile and safe to share across
 // threads (the plan cache stores them alongside the plan).
 
 #ifndef IMON_EXEC_EXPR_PROGRAM_H_
@@ -71,8 +72,9 @@ struct EvalScratch {
 class ExprProgram {
  public:
   /// Compile a bound expression against `layout`. Fails on unbound
-  /// columns or expressions the program machine cannot represent; the
-  /// caller falls back to the scalar AST evaluator.
+  /// columns, unknown functions and `*`, none of which the binder lets
+  /// through, so a bound SELECT always compiles; a failure is the
+  /// statement's error.
   static Result<ExprProgram> Compile(const sql::Expr& expr,
                                      const optimizer::OutputLayout& layout);
 

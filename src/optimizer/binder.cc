@@ -136,6 +136,9 @@ Status Binder::BindExpr(Expr* expr, const std::vector<BoundTable>& tables,
         return Status::InvalidArgument("function '" + expr->func_name +
                                        "' takes exactly one argument");
       }
+      if (expr->args[0]->kind == ExprKind::kStar) {
+        return Status::InvalidArgument("'*' only valid in COUNT(*)");
+      }
       return BindExpr(expr->args[0].get(), tables, refs, allow_aggregates,
                       aggs);
     }

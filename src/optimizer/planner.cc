@@ -173,10 +173,13 @@ std::unique_ptr<PlanNode> Planner::BestScan(
       table_idx, static_cast<int>(tables.size()),
       static_cast<int>(bt.info.columns.size()));
 
+  // A conjunct that references no table (`1 = 0`, `abs(-1) = 5`) is
+  // checked at every base scan; no other plan node would evaluate it.
   uint64_t table_mask = 1ULL << table_idx;
   int num_filters = 0;
   for (const Expr* c : conjuncts) {
-    if (Binder::TablesUsed(*c) == table_mask) {
+    uint64_t used = Binder::TablesUsed(*c);
+    if (used == table_mask || used == 0) {
       node->filters.push_back(c);
       ++num_filters;
     }

@@ -126,6 +126,72 @@ TEST_F(DatabaseTest, UpdateAndDelete) {
   EXPECT_EQ(r.rows[0][0].AsInt(), 2);
 }
 
+// A WHERE conjunct that references no table (`1 = 0`, `abs(-1) = 5`)
+// still filters: every statement kind honours it, on a seq scan, a
+// primary-key probe and a join alike.
+TEST_F(DatabaseTest, ConstantWhereConjunctsFilterEveryStatement) {
+  struct Case {
+    const char* where;  ///< "{id}" stands for the (qualified) id column
+    std::vector<int64_t> ids;
+  };
+  const Case kCases[] = {
+      {"1 = 0", {}},
+      {"1 = 1 AND {id} = 1", {1}},
+      {"abs(-1) = 5", {}},
+      {"{id} = 2 AND 1 = 0", {}},
+  };
+  auto where = [](std::string tmpl, const std::string& id) {
+    size_t pos = tmpl.find("{id}");
+    if (pos != std::string::npos) tmpl.replace(pos, 4, id);
+    return tmpl;
+  };
+  auto ids_of = [](const QueryResult& r) {
+    std::vector<int64_t> ids;
+    for (const Row& row : r.rows) ids.push_back(row[0].AsInt());
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  };
+  MustExec("CREATE TABLE u (id INT, w INT)");
+  MustExec("INSERT INTO u VALUES (1, 100), (2, 200)");
+  for (size_t i = 0; i < std::size(kCases); ++i) {
+    const Case& c = kCases[i];
+    SCOPED_TRACE(c.where);
+    const std::string t = "t" + std::to_string(i);
+    MustExec("CREATE TABLE " + t + " (id INT PRIMARY KEY, v INT)");
+    MustExec("INSERT INTO " + t + " VALUES (1, 10), (2, 20)");
+    const int64_t n = static_cast<int64_t>(c.ids.size());
+
+    QueryResult r =
+        MustExec("SELECT id FROM " + t + " WHERE " + where(c.where, "id"));
+    EXPECT_EQ(ids_of(r), c.ids);
+    r = MustExec("SELECT count(*) FROM " + t + " WHERE " +
+                 where(c.where, "id"));
+    EXPECT_EQ(r.rows[0][0].AsInt(), n);
+    r = MustExec("SELECT " + t + ".id, u.w FROM " + t + ", u WHERE " + t +
+                 ".id = u.id AND " + where(c.where, t + ".id"));
+    EXPECT_EQ(ids_of(r), c.ids);
+
+    r = MustExec("UPDATE " + t + " SET v = 9 WHERE " + where(c.where, "id"));
+    EXPECT_EQ(r.affected_rows, n);
+    r = MustExec("SELECT id FROM " + t + " WHERE v = 9");
+    EXPECT_EQ(ids_of(r), c.ids);
+
+    r = MustExec("DELETE FROM " + t + " WHERE " + where(c.where, "id"));
+    EXPECT_EQ(r.affected_rows, n);
+    r = MustExec("SELECT id, v FROM " + t + " ORDER BY id");
+    std::vector<int64_t> kept;
+    for (int64_t id : {1, 2}) {
+      if (std::find(c.ids.begin(), c.ids.end(), id) == c.ids.end()) {
+        kept.push_back(id);
+      }
+    }
+    EXPECT_EQ(ids_of(r), kept);
+    for (const Row& row : r.rows) {
+      EXPECT_EQ(row[1].AsInt(), row[0].AsInt() * 10);
+    }
+  }
+}
+
 TEST_F(DatabaseTest, GroupByHavingLimit) {
   MustExec("CREATE TABLE t (k INT, v INT)");
   for (int i = 0; i < 30; ++i) {

@@ -1,8 +1,8 @@
 // Vectorized execution: batch-boundary correctness and the differential
-// oracle between batch sizes and between the compiled (ExprProgram) and
-// scalar (tree-walking) expression paths. The invariant mirrors the
-// physical-design oracle: batch size and expression compilation may
-// change *cost*, never *results*.
+// oracle between batch sizes. The invariant mirrors the physical-design
+// oracle: batch size may change *cost*, never *results*. Compiled
+// expressions are checked against the tree-walking Eval expression by
+// expression in expr_program_test.
 
 #include <gtest/gtest.h>
 
@@ -11,17 +11,18 @@
 
 #include "engine/database.h"
 #include "testing/oracle.h"
+#include "tests/exec/batch_queries.h"
 #include "tests/testing_util.h"
 
 namespace imon::engine {
 namespace {
 
 using imon::testing::Fingerprint;
+using imon::testing::kBatchQueries;
 
-DatabaseOptions Opts(size_t batch_size, bool compiled) {
+DatabaseOptions Opts(size_t batch_size) {
   DatabaseOptions o;
   o.exec_batch_size = batch_size;
-  o.use_compiled_exprs = compiled;
   return o;
 }
 
@@ -49,20 +50,6 @@ void PopulateRows(Database* db, int n) {
   }
 }
 
-const char* const kBatchQueries[] = {
-    "SELECT count(*) FROM t",
-    "SELECT count(*), count(v), sum(v), min(id), max(id) FROM t",
-    "SELECT count(*) FROM t WHERE v > 5",
-    "SELECT count(*) FROM t WHERE v IS NULL",
-    "SELECT count(*) FROM t WHERE v IS NOT NULL AND tag = 'even'",
-    "SELECT v, count(*) FROM t GROUP BY v ORDER BY v",
-    "SELECT tag, sum(v) FROM t GROUP BY tag HAVING sum(v) > 10",
-    "SELECT id, v + 1 FROM t WHERE id < 20 ORDER BY id",
-    "SELECT count(*) FROM t WHERE v IN (1, 3, NULL)",
-    "SELECT count(*) FROM t WHERE v BETWEEN 2 AND 8 AND tag LIKE 'e%'",
-    "SELECT count(*) FROM t WHERE NOT (v > 3 OR tag = 'odd')",
-};
-
 std::vector<std::string> RunAll(Database* db) {
   std::vector<std::string> out;
   for (const char* q : kBatchQueries) {
@@ -77,14 +64,14 @@ class ExecBatchTest : public ::testing::Test {};
 
 // Row counts straddling the 1024-row default batch: 1 (single short
 // batch), 1023 (one row shy), 1024 (exactly one full batch), 1025 (full
-// batch + one-row tail).
+// batch + one-row tail). One-row batches are the baseline.
 TEST_F(ExecBatchTest, BatchBoundaryRowCounts) {
   for (int n : {1, 1023, 1024, 1025}) {
-    Database scalar{Opts(1024, false)};
-    PopulateRows(&scalar, n);
-    auto baseline = RunAll(&scalar);
+    Database single{Opts(1)};
+    PopulateRows(&single, n);
+    auto baseline = RunAll(&single);
 
-    Database batched{Opts(1024, true)};
+    Database batched{Opts(1024)};
     PopulateRows(&batched, n);
     auto got = RunAll(&batched);
     for (size_t i = 0; i < std::size(kBatchQueries); ++i) {
@@ -103,7 +90,7 @@ TEST_F(ExecBatchTest, BatchBoundaryRowCounts) {
 // emptied selection vector must short-circuit downstream work without
 // emitting rows or disturbing aggregates over the empty set.
 TEST_F(ExecBatchTest, AllFilteredBatches) {
-  Database db{Opts(256, true)};
+  Database db{Opts(256)};
   PopulateRows(&db, 1025);
 
   auto r = db.Execute("SELECT id FROM t WHERE v < 0");
@@ -128,7 +115,7 @@ TEST_F(ExecBatchTest, AllFilteredBatches) {
 // vector with SQL three-valued logic: a NULL predicate drops the row, a
 // NULL operand poisons only its own row's projection.
 TEST_F(ExecBatchTest, NullPropagationThroughSelectionVector) {
-  Database db{Opts(4, true)};  // tiny batches force many boundaries
+  Database db{Opts(4)};  // tiny batches force many boundaries
   ASSERT_TRUE(db.Execute("CREATE TABLE n (id INT, v INT)").ok());
   ASSERT_TRUE(db.Execute("INSERT INTO n VALUES (0, 5), (1, NULL), (2, 7), "
                          "(3, NULL), (4, 1), (5, 9), (6, NULL), (7, 2)")
@@ -172,56 +159,45 @@ TEST_F(ExecBatchTest, DifferentialBatchSizeOneVsDefault) {
       "LIMIT 25",
   };
 
-  Database one{Opts(1, true)};
+  Database one{Opts(1)};
   imon::testing::Populate(&one, 99);
-  Database big{Opts(1024, true)};
+  Database big{Opts(1024)};
   imon::testing::Populate(&big, 99);
-  Database scalar{Opts(1024, false)};
-  imon::testing::Populate(&scalar, 99);
 
   for (const char* q : kQueries) {
     auto r1 = one.Execute(q);
     auto r2 = big.Execute(q);
-    auto r3 = scalar.Execute(q);
     ASSERT_TRUE(r1.ok()) << q << " -> " << r1.status();
     ASSERT_TRUE(r2.ok()) << q << " -> " << r2.status();
-    ASSERT_TRUE(r3.ok()) << q << " -> " << r3.status();
     EXPECT_EQ(Fingerprint(*r1), Fingerprint(*r2))
         << "batch 1 vs 1024 diverged on: " << q;
-    EXPECT_EQ(Fingerprint(*r2), Fingerprint(*r3))
-        << "compiled vs scalar diverged on: " << q;
   }
 }
 
-// Error semantics must not drift between the paths: a divide-by-zero-free
-// query with a type error in an unreached branch behaves identically, and
-// rows_examined accounting matches on the happy path.
-TEST_F(ExecBatchTest, CompiledAndScalarAgreeOnErrorsAndAccounting) {
-  Database compiled{Opts(1024, true)};
-  PopulateRows(&compiled, 100);
-  Database scalar{Opts(1024, false)};
-  PopulateRows(&scalar, 100);
+// Engine-level error and accounting semantics of the compiled path: a
+// type error surfaces as the statement's error, INT division by zero
+// yields NULL rather than an error, and a full scan examines every row
+// exactly once.
+TEST_F(ExecBatchTest, ErrorsDivisionByZeroAndAccounting) {
+  Database db{Opts(1024)};
+  PopulateRows(&db, 100);
 
-  // Arithmetic on text errors the same way on both paths.
-  auto rc = compiled.Execute("SELECT tag - 1 FROM t WHERE id = 2");
-  auto rs = scalar.Execute("SELECT tag - 1 FROM t WHERE id = 2");
-  ASSERT_FALSE(rc.ok());
-  ASSERT_FALSE(rs.ok());
-  EXPECT_EQ(rc.status().message(), rs.status().message());
+  auto r = db.Execute("SELECT tag - 1 FROM t WHERE id = 2");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(r.status().message(), "arithmetic on text value");
 
-  // INT division by zero yields NULL (not an error) on both paths.
-  rc = compiled.Execute("SELECT count(*) FROM t WHERE v / 0 > 1");
-  rs = scalar.Execute("SELECT count(*) FROM t WHERE v / 0 > 1");
-  ASSERT_TRUE(rc.ok());
-  ASSERT_TRUE(rs.ok());
-  EXPECT_EQ(Fingerprint(*rc), Fingerprint(*rs));
+  r = db.Execute("SELECT v / 0 FROM t WHERE id = 1");
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_EQ(r->rows.size(), 1u);
+  EXPECT_TRUE(r->rows[0][0].is_null());
+  r = db.Execute("SELECT count(*) FROM t WHERE v / 0 > 1");
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->rows[0][0].AsInt(), 0);
 
-  // Full-scan accounting is identical: every row examined once.
-  rc = compiled.Execute("SELECT count(*) FROM t WHERE v > 3");
-  rs = scalar.Execute("SELECT count(*) FROM t WHERE v > 3");
-  ASSERT_TRUE(rc.ok());
-  ASSERT_TRUE(rs.ok());
-  EXPECT_EQ(rc->stats.rows_examined, rs->stats.rows_examined);
+  r = db.Execute("SELECT count(*) FROM t WHERE v > 3");
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->stats.rows_examined, 100);
 }
 
 }  // namespace

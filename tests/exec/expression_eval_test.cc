@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <ostream>
+#include <string>
+
 #include "sql/parser.h"
 
 namespace imon::exec {
@@ -108,12 +112,33 @@ struct LikeCase {
   bool match;
 };
 
+/// Print the case, not its bytes (the default prints pointer values).
+void PrintTo(const LikeCase& c, std::ostream* os) {
+  *os << "'" << c.text << "' LIKE '" << c.pattern << "'";
+}
+
 class LikeTest : public ::testing::TestWithParam<LikeCase> {};
 
 TEST_P(LikeTest, Matches) {
   const LikeCase& c = GetParam();
   EXPECT_EQ(LikeMatch(c.text, c.pattern), c.match)
       << "'" << c.text << "' LIKE '" << c.pattern << "'";
+}
+
+/// Stable test names: the case index plus the pattern, with '%' spelled
+/// "pct" (gtest names allow only letters, digits and '_').
+std::string LikeCaseName(const ::testing::TestParamInfo<LikeCase>& info) {
+  std::string name = std::to_string(info.index) + "_";
+  for (const char* p = info.param.pattern; *p != '\0'; ++p) {
+    if (std::isalnum(static_cast<unsigned char>(*p)) || *p == '_') {
+      name += *p;
+    } else if (*p == '%') {
+      name += "pct";
+    } else {
+      name += 'x';
+    }
+  }
+  return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -130,7 +155,8 @@ INSTANTIATE_TEST_SUITE_P(
                       LikeCase{"abc", "%%", true},
                       LikeCase{"abcabc", "%abc", true},
                       LikeCase{"aXbXc", "a%b%c", true},
-                      LikeCase{"ab", "a%b%c", false}));
+                      LikeCase{"ab", "a%b%c", false}),
+    LikeCaseName);
 
 TEST(ExprEvalTest, PredicateSemantics) {
   optimizer::OutputLayout layout;

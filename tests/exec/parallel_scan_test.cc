@@ -1,11 +1,10 @@
 // Morsel-driven parallel scans: the differential invariant is that the
 // worker count and the morsel size may change *cost*, never *results*.
 // Every query must produce byte-identical output across worker counts
-// {1, 2, 4, 8} x both expression paths (compiled / scalar) x every
-// storage structure (HEAP, BTREE, HASH, ISAM — full sweeps, range
-// scans, secondary-index scans and hash joins all have morsel sources
-// now), morsel boundaries must not leak into results, and errors
-// raised mid-scan must be deterministic regardless of scheduling.
+// {1, 2, 4, 8} x every storage structure (HEAP, BTREE, HASH, ISAM — full
+// sweeps, range scans, secondary-index scans and hash joins all have
+// morsel sources now), morsel boundaries must not leak into results, and
+// errors raised mid-scan must be deterministic regardless of scheduling.
 
 #include <gtest/gtest.h>
 
@@ -22,11 +21,9 @@ namespace {
 
 using imon::testing::Fingerprint;
 
-DatabaseOptions ParOpts(size_t workers, bool compiled,
-                        size_t morsel_pages = 0) {
+DatabaseOptions ParOpts(size_t workers, size_t morsel_pages = 0) {
   DatabaseOptions o;
   o.exec_workers = workers;
-  o.use_compiled_exprs = compiled;
   if (morsel_pages > 0) o.exec_morsel_pages = morsel_pages;
   return o;
 }
@@ -79,21 +76,19 @@ std::vector<std::string> RunAll(Database* db) {
 
 class ParallelScanTest : public ::testing::Test {};
 
-TEST_F(ParallelScanTest, WorkerCountsAndExprPathsAgree) {
-  Database baseline_db{ParOpts(1, false)};
+TEST_F(ParallelScanTest, WorkerCountsAgree) {
+  Database baseline_db{ParOpts(1)};
   imon::testing::Populate(&baseline_db, /*seed=*/7);
   auto baseline = RunAll(&baseline_db);
 
-  for (size_t workers : {1u, 2u, 4u, 8u}) {
-    for (bool compiled : {false, true}) {
-      Database db{ParOpts(workers, compiled)};
-      imon::testing::Populate(&db, /*seed=*/7);
-      auto got = RunAll(&db);
-      for (size_t i = 0; i < std::size(kParallelQueries); ++i) {
-        EXPECT_EQ(got[i], baseline[i])
-            << "workers=" << workers << " compiled=" << compiled
-            << " diverged on: " << kParallelQueries[i];
-      }
+  for (size_t workers : {2u, 4u, 8u}) {
+    Database db{ParOpts(workers)};
+    imon::testing::Populate(&db, /*seed=*/7);
+    auto got = RunAll(&db);
+    for (size_t i = 0; i < std::size(kParallelQueries); ++i) {
+      EXPECT_EQ(got[i], baseline[i])
+          << "workers=" << workers
+          << " diverged on: " << kParallelQueries[i];
     }
   }
 }
@@ -133,28 +128,25 @@ TEST_F(ParallelScanTest, StructureMatrixAgreesAcrossWorkers) {
   for (const char* structure : {"HEAP", "BTREE", "HASH", "ISAM"}) {
     std::vector<std::string> baseline;
     for (size_t workers : {1u, 2u, 4u, 8u}) {
-      for (bool compiled : {false, true}) {
-        Database db{ParOpts(workers, compiled, /*morsel_pages=*/1)};
-        imon::testing::Populate(&db, /*seed=*/7);
-        if (std::string(structure) != "HEAP") {
-          ASSERT_TRUE(
-              db.Execute(std::string("MODIFY item TO ") + structure).ok());
-          ASSERT_TRUE(
-              db.Execute(std::string("MODIFY sale TO ") + structure).ok());
-        }
-        ASSERT_TRUE(db.Execute("CREATE INDEX i_grp ON item (grp)").ok());
-        ASSERT_TRUE(db.Execute("ANALYZE item").ok());
-        ASSERT_TRUE(db.Execute("ANALYZE sale").ok());
-        auto got = RunStructure(&db);
-        if (baseline.empty()) {
-          baseline = got;
-        } else {
-          for (size_t i = 0; i < std::size(kStructureQueries); ++i) {
-            EXPECT_EQ(got[i], baseline[i])
-                << "structure=" << structure << " workers=" << workers
-                << " compiled=" << compiled
-                << " diverged on: " << kStructureQueries[i];
-          }
+      Database db{ParOpts(workers, /*morsel_pages=*/1)};
+      imon::testing::Populate(&db, /*seed=*/7);
+      if (std::string(structure) != "HEAP") {
+        ASSERT_TRUE(
+            db.Execute(std::string("MODIFY item TO ") + structure).ok());
+        ASSERT_TRUE(
+            db.Execute(std::string("MODIFY sale TO ") + structure).ok());
+      }
+      ASSERT_TRUE(db.Execute("CREATE INDEX i_grp ON item (grp)").ok());
+      ASSERT_TRUE(db.Execute("ANALYZE item").ok());
+      ASSERT_TRUE(db.Execute("ANALYZE sale").ok());
+      auto got = RunStructure(&db);
+      if (baseline.empty()) {
+        baseline = got;
+      } else {
+        for (size_t i = 0; i < std::size(kStructureQueries); ++i) {
+          EXPECT_EQ(got[i], baseline[i])
+              << "structure=" << structure << " workers=" << workers
+              << " diverged on: " << kStructureQueries[i];
         }
       }
     }
@@ -168,7 +160,7 @@ TEST_F(ParallelScanTest, StructureMatrixAgreesAcrossWorkers) {
 TEST_F(ParallelScanTest, HashJoinBuildDeterministicAcrossWorkers) {
   std::string baseline;
   for (size_t workers : {1u, 2u, 4u, 8u}) {
-    Database db{ParOpts(workers, /*compiled=*/true, /*morsel_pages=*/1)};
+    Database db{ParOpts(workers, /*morsel_pages=*/1)};
     imon::testing::Populate(&db, /*seed=*/13);
     auto r = db.Execute(
         "SELECT i.id, i.grp, s.qty, s.day FROM item i "
@@ -188,12 +180,12 @@ TEST_F(ParallelScanTest, HashJoinBuildDeterministicAcrossWorkers) {
 // number of partial results to merge; a huge morsel collapses the scan
 // to a single task (the inline path). Both must match the default.
 TEST_F(ParallelScanTest, MorselSizeDoesNotChangeResults) {
-  Database baseline_db{ParOpts(4, true)};
+  Database baseline_db{ParOpts(4)};
   imon::testing::Populate(&baseline_db, /*seed=*/11);
   auto baseline = RunAll(&baseline_db);
 
   for (size_t morsel_pages : {size_t{1}, size_t{1} << 20}) {
-    Database db{ParOpts(4, true, morsel_pages)};
+    Database db{ParOpts(4, morsel_pages)};
     imon::testing::Populate(&db, /*seed=*/11);
     auto got = RunAll(&db);
     for (size_t i = 0; i < std::size(kParallelQueries); ++i) {
@@ -206,7 +198,7 @@ TEST_F(ParallelScanTest, MorselSizeDoesNotChangeResults) {
 
 TEST_F(ParallelScanTest, EmptyTableAcrossWorkerCounts) {
   for (size_t workers : {1u, 4u}) {
-    Database db{ParOpts(workers, true, /*morsel_pages=*/1)};
+    Database db{ParOpts(workers, /*morsel_pages=*/1)};
     ASSERT_TRUE(db.Execute("CREATE TABLE empty_t (a INT, b TEXT)").ok());
     auto rows = db.Execute("SELECT a, b FROM empty_t WHERE a > 0");
     ASSERT_TRUE(rows.ok());
@@ -226,7 +218,7 @@ TEST_F(ParallelScanTest, EmptyTableAcrossWorkerCounts) {
 TEST_F(ParallelScanTest, MidScanErrorsAreDeterministic) {
   std::string serial_msg;
   for (size_t workers : {1u, 2u, 4u, 8u}) {
-    Database db{ParOpts(workers, /*compiled=*/false, /*morsel_pages=*/1)};
+    Database db{ParOpts(workers, /*morsel_pages=*/1)};
     imon::testing::Populate(&db, /*seed=*/7);
     auto r = db.Execute("SELECT id + tag FROM item");
     ASSERT_FALSE(r.ok()) << "workers=" << workers;
@@ -246,17 +238,15 @@ TEST_F(ParallelScanTest, RowsExaminedParityOnFullScans) {
   const char* q = "SELECT count(*) FROM item WHERE grp < 5";
   int64_t serial_examined = -1;
   for (size_t workers : {1u, 4u}) {
-    for (bool compiled : {false, true}) {
-      Database db{ParOpts(workers, compiled, /*morsel_pages=*/1)};
-      imon::testing::Populate(&db, /*seed=*/7);
-      auto r = db.Execute(q);
-      ASSERT_TRUE(r.ok());
-      if (serial_examined < 0) {
-        serial_examined = r->stats.rows_examined;
-      } else {
-        EXPECT_EQ(r->stats.rows_examined, serial_examined)
-            << "workers=" << workers << " compiled=" << compiled;
-      }
+    Database db{ParOpts(workers, /*morsel_pages=*/1)};
+    imon::testing::Populate(&db, /*seed=*/7);
+    auto r = db.Execute(q);
+    ASSERT_TRUE(r.ok());
+    if (serial_examined < 0) {
+      serial_examined = r->stats.rows_examined;
+    } else {
+      EXPECT_EQ(r->stats.rows_examined, serial_examined)
+          << "workers=" << workers;
     }
   }
 }
@@ -265,7 +255,7 @@ TEST_F(ParallelScanTest, RowsExaminedParityOnFullScans) {
 // each query fans out over the worker pool: the TSan target for the
 // whole scan path (shard locks, worker pool, per-lane scratch).
 TEST_F(ParallelScanTest, ConcurrentClientsOnSharedDatabase) {
-  Database db{ParOpts(4, true, /*morsel_pages=*/1)};
+  Database db{ParOpts(4, /*morsel_pages=*/1)};
   imon::testing::Populate(&db, /*seed=*/3);
   auto expected_r = db.Execute(
       "SELECT grp, count(*), sum(price) FROM item GROUP BY grp ORDER BY grp");
@@ -289,7 +279,7 @@ TEST_F(ParallelScanTest, ConcurrentClientsOnSharedDatabase) {
 }
 
 TEST_F(ParallelScanTest, ParallelCountersSurfaceInMetrics) {
-  Database db{ParOpts(2, true, /*morsel_pages=*/1)};
+  Database db{ParOpts(2, /*morsel_pages=*/1)};
   imon::testing::Populate(&db, /*seed=*/5);
   ASSERT_TRUE(db.Execute("SELECT count(*) FROM sale").ok());
 

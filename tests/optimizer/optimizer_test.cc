@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "optimizer/binder.h"
 #include "optimizer/cardinality.h"
 #include "optimizer/planner.h"
@@ -115,6 +117,49 @@ TEST_F(OptimizerTest, BinderEnforcesGroupByCoverage) {
   auto bound =
       binder.BindSelect(static_cast<sql::SelectStmt*>(parsed->get()));
   EXPECT_TRUE(bound.status().IsInvalidArgument());
+}
+
+// `*` is an argument only to COUNT; anywhere else the statement is
+// rejected at bind time instead of failing once a row reaches it.
+TEST_F(OptimizerTest, BinderRejectsStarOutsideCount) {
+  Binder binder(&catalog_);
+  for (const char* sql :
+       {"SELECT abs(*) FROM protein", "SELECT id FROM protein WHERE abs(*) < 0",
+        "SELECT id FROM protein ORDER BY length(*)",
+        "SELECT sum(upper(*)) FROM protein", "SELECT sum(*) FROM protein"}) {
+    auto parsed = sql::Parse(sql);
+    ASSERT_TRUE(parsed.ok()) << sql << " -> " << parsed.status();
+    auto bound =
+        binder.BindSelect(static_cast<sql::SelectStmt*>(parsed->get()));
+    EXPECT_TRUE(bound.status().IsInvalidArgument()) << sql;
+    EXPECT_EQ(bound.status().message(), "'*' only valid in COUNT(*)") << sql;
+  }
+  BoundSelect ok = MustBind("SELECT count(*) FROM protein");
+  ASSERT_EQ(ok.aggregates.size(), 1u);
+  EXPECT_EQ(ok.aggregates[0].arg, nullptr);
+}
+
+// A conjunct that references no table lands in every base scan's filters,
+// the only plan nodes whose filters the executor and DML evaluate.
+TEST_F(OptimizerTest, ConstantConjunctFiltersEveryScan) {
+  BoundSelect bound = MustBind(
+      "SELECT p.id FROM protein p, organism o WHERE p.id = o.pid AND 1 = 0");
+  auto plan = MustPlan(bound);
+  std::vector<const PlanNode*> scans;
+  std::function<void(const PlanNode&)> collect = [&](const PlanNode& n) {
+    if (n.kind == PlanNodeKind::kScan) scans.push_back(&n);
+    if (n.left) collect(*n.left);
+    if (n.right) collect(*n.right);
+  };
+  collect(*plan);
+  ASSERT_EQ(scans.size(), 2u);
+  for (const PlanNode* scan : scans) {
+    bool has_constant = false;
+    for (const sql::Expr* f : scan->filters) {
+      has_constant = has_constant || Binder::TablesUsed(*f) == 0;
+    }
+    EXPECT_TRUE(has_constant) << "scan of table " << scan->table_idx;
+  }
 }
 
 TEST_F(OptimizerTest, StarExpansionCoversAllTables) {
